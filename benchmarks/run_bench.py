@@ -2,10 +2,10 @@
 """Seed the perf trajectory: time the pipeline and core primitives.
 
 Every future performance PR measures itself against the numbers this
-script writes.  It times the measurement pipeline instrumented and
-bare (the observability-overhead yardstick), the sharded campaign
-runner across worker counts, and the hot core primitives, and writes
-a ``BENCH_<date>.json`` at the repository root.
+script writes.  It times the per-country measurement unit instrumented
+and bare (the observability-overhead yardstick), the campaign runner
+across worker counts, and the hot core primitives, and writes a
+``BENCH_<date>.json`` at the repository root.
 
 Workflow (documented in DESIGN.md §7):
 
@@ -52,6 +52,7 @@ from repro.obs import Instrumentation  # noqa: E402
 from repro.pipeline import (  # noqa: E402
     CampaignSpec,
     MeasurementPipeline,
+    WebsiteMeasurement,
     run_campaign,
 )
 from repro.worldgen import World, WorldConfig  # noqa: E402
@@ -86,30 +87,28 @@ def _best_of(repeat: int, fn) -> tuple[float, object]:
 def bench_overhead(
     sites: int, countries: tuple[str, ...], repeat: int
 ) -> tuple[dict, dict]:
-    """Interleaved instrumented/bare timing of the same campaign.
+    """Interleaved instrumented/bare timing of the same country units.
 
-    Returns ``(instrumented, bare)`` result dicts.  Both variants run
-    against one shared World, alternate within a single loop, and take
-    the minimum over ``repeat`` rounds (after one warm-up round each),
-    so the overhead ratio compares two noise-floor readings instead of
-    two phase averages.
+    Returns ``(instrumented, bare)`` result dicts.  Each run measures
+    every country with a fresh pipeline (fault plan, retry policy and,
+    when instrumented, its own :class:`Instrumentation`, finalized per
+    country), exactly as a campaign's country unit does, minus the
+    merge.  Both variants run against one shared World, alternate
+    within a single loop, and take the minimum over ``repeat`` rounds
+    (after one warm-up round each), so the overhead ratio compares two
+    noise-floor readings instead of two phase averages.
     """
     config = WorldConfig(sites_per_country=sites, countries=countries)
     build_seconds, world = _best_of(repeat, lambda: World(config))
     assert isinstance(world, World)
 
     def run(instrumented: bool):
-        obs = Instrumentation() if instrumented else None
         # A fresh ZoneCache per run, exactly as each campaign gets one:
         # plan building is billed inside the timed region the same way
         # the production path pays it.
-        pipeline = MeasurementPipeline(
-            world,
-            fault_plan=fault_profile("chaos", seed=0),
-            retry_policy=RetryPolicy(max_attempts=3, seed=0),
-            obs=obs,
-            zone_cache=ZoneCache(world.namespace),
-        )
+        zone_cache = ZoneCache(world.namespace)
+        rows: list[WebsiteMeasurement] = []
+        observers: list[Instrumentation] = []
         # Collect the previous run's garbage outside the timed region
         # and keep the collector off inside it, so cycle-collection
         # pauses don't land on whichever variant happens to be running
@@ -121,26 +120,40 @@ def bench_overhead(
         gc.disable()
         try:
             start = time.perf_counter()
-            dataset = pipeline.run()
-            if obs is not None:
-                obs.finalize(pipeline)
+            for cc in countries:
+                obs = Instrumentation() if instrumented else None
+                pipeline = MeasurementPipeline(
+                    world,
+                    fault_plan=fault_profile("chaos", seed=0),
+                    retry_policy=RetryPolicy(max_attempts=3, seed=0),
+                    obs=obs,
+                    zone_cache=zone_cache,
+                )
+                rows.extend(pipeline.measure_country(cc))
+                if obs is not None:
+                    obs.finalize(pipeline)
+                    observers.append(obs)
             seconds = time.perf_counter() - start
         finally:
             if gc_was_enabled:
                 gc.enable()
-        return seconds, dataset, obs
+        return seconds, rows, observers
 
     run(True)  # warm up caches and allocator on both variants
     run(False)
     best_instrumented = best_bare = float("inf")
-    dataset = obs = None
+    rows: list[WebsiteMeasurement] = []
+    observers: list[Instrumentation] = []
     for _ in range(repeat):
-        seconds, dataset, obs = run(True)
+        seconds, rows, observers = run(True)
         best_instrumented = min(best_instrumented, seconds)
         seconds, _, _ = run(False)
         best_bare = min(best_bare, seconds)
-    assert dataset is not None and obs is not None
-    total_sites = len(dataset)
+    total_sites = len(rows)
+
+    def total(metric) -> float:
+        return sum(metric(obs) for obs in observers)
+
     instrumented = {
         "world_build_seconds": round(build_seconds, 4),
         "run_seconds": round(best_instrumented, 4),
@@ -149,23 +162,25 @@ def bench_overhead(
         if best_instrumented
         else None,
         "metrics": {
-            "dns_queries": obs.dns_queries.total(),
-            "dns_cache_hits": obs.dns_cache_hits.total(),
+            "dns_queries": total(lambda o: o.dns_queries.total()),
+            "dns_cache_hits": total(lambda o: o.dns_cache_hits.total()),
             # The resolver-level hit counter alone understates caching:
             # most repeat lookups are absorbed by the pipeline's
             # nameserver-label cache before they reach the resolver,
-            # and structural work is shared by the zone-plan cache
-            # below.  Recorded side by side so the caching story in
-            # the bench reflects reality.
+            # and structural work is shared by the zone-plan cache.
+            # Recorded side by side so the caching story in the bench
+            # reflects reality.
             "ns_label_cache_hits": int(
-                obs.ns_cache_events.value(event="hit")
+                total(lambda o: o.ns_cache_events.value(event="hit"))
             ),
-            "attempts": obs.attempts.total(),
-            "retries": obs.retries.total(),
-            "backoff_seconds": round(obs.backoff_seconds.total(), 3),
-            "failed_rows": obs.rows.value(status="failed"),
-            "degraded_rows": obs.degraded_rows.total(),
-            "spans": len(obs.tracer.finished()),
+            "attempts": total(lambda o: o.attempts.total()),
+            "retries": total(lambda o: o.retries.total()),
+            "backoff_seconds": round(
+                total(lambda o: o.backoff_seconds.total()), 3
+            ),
+            "failed_rows": total(lambda o: o.rows.value(status="failed")),
+            "degraded_rows": total(lambda o: o.degraded_rows.total()),
+            "spans": total(lambda o: len(o.tracer.finished())),
         },
     }
     bare = {
@@ -235,28 +250,19 @@ def bench_parallel(
     repeat: int,
     workers_counts: tuple[int, ...],
     profile: bool = False,
-) -> tuple[dict, dict]:
+) -> dict:
     """Time the campaign runner across worker counts, end to end.
 
     Each campaign reading includes everything ``repro measure
     --workers N`` pays — world build, worker spawn, dispatch — so the
-    speedup column reflects what a user actually gets.  **Two**
-    baselines are recorded, because earlier BENCH files compared
-    campaigns against the wrong one:
+    speedup column reflects what a user actually gets.  The ``"1"``
+    entry (``run_campaign(workers=1)``) is the like-for-like serial
+    baseline every ``speedup_vs_serial`` is computed against.
 
-    * ``serial_pipeline`` — one bare :class:`MeasurementPipeline` over
-      a prebuilt World.  No world build, no campaign machinery, one
-      shared resolver across countries.  Useful as the raw pipeline
-      throughput floor, misleading as a sharding baseline.
-    * the ``"1"`` campaign entry — ``run_campaign(workers=1)``, the
-      like-for-like serial baseline every ``speedup_vs_serial`` is
-      computed against.
-
-    Returns ``(serial_pipeline, campaign_entries)``.  With
-    ``profile``, each worker count gets one extra *instrumented* run
-    after its timing passes, attaching per-phase seconds, a worker
-    utilization breakdown, and the empirical Amdahl bound to the
-    entry.
+    Returns the campaign entries by worker count.  With ``profile``,
+    each worker count gets one extra *instrumented* run after its
+    timing passes, attaching per-phase seconds, a worker utilization
+    breakdown, and the empirical Amdahl bound to the entry.
     """
     spec = CampaignSpec(
         config=WorldConfig(
@@ -267,34 +273,6 @@ def bench_parallel(
         retries=3,
         instrument=False,
     )
-    build_seconds, world = _best_of(repeat, lambda: World(spec.config))
-    assert isinstance(world, World)
-    cache_stats: dict | None = None
-
-    def run_pipeline():
-        nonlocal cache_stats
-        cache = ZoneCache(world.namespace)
-        pipeline = MeasurementPipeline(
-            world,
-            fault_plan=fault_profile("chaos", seed=0),
-            retry_policy=RetryPolicy(max_attempts=3, seed=0),
-            zone_cache=cache,
-        )
-        dataset = pipeline.run()
-        cache_stats = cache.stats()
-        return dataset
-
-    pipeline_seconds, dataset = _best_of(repeat, run_pipeline)
-    total = len(dataset)  # type: ignore[arg-type]
-    serial_pipeline = {
-        "world_build_seconds": round(build_seconds, 4),
-        "run_seconds": round(pipeline_seconds, 4),
-        "sites": total,
-        "sites_per_second": round(total / pipeline_seconds, 1)
-        if pipeline_seconds
-        else None,
-        "zone_cache": cache_stats,
-    }
     out: dict = {}
     serial_seconds: float | None = None
     for workers in workers_counts:
@@ -319,7 +297,7 @@ def bench_parallel(
         if profile:
             entry["profile"] = _profile_campaign(spec, workers)
         out[str(workers)] = entry
-    return serial_pipeline, out
+    return out
 
 
 def bench_serve(
@@ -757,10 +735,9 @@ def main(argv: list[str] | None = None) -> int:
             ),
         },
     }
-    serial_pipeline, campaigns = bench_parallel(
+    campaigns = bench_parallel(
         sites, countries, repeat, workers_counts, profile=args.profile
     )
-    report["results"]["serial_pipeline"] = serial_pipeline
     report["results"]["parallel_campaign"] = campaigns
     if overhead_pct is not None:
         report["results"]["observability_overhead_pct"] = overhead_pct
@@ -769,13 +746,6 @@ def main(argv: list[str] | None = None) -> int:
         f"pipeline: {instrumented['sites_per_second']} sites/s "
         f"instrumented, {bare['sites_per_second']} sites/s bare "
         f"(overhead {overhead_pct}%)"
-    )
-    print(
-        f"serial pipeline baseline: "
-        f"{serial_pipeline['run_seconds']}s "
-        f"({serial_pipeline['sites_per_second']} sites/s, world build "
-        f"{serial_pipeline['world_build_seconds']}s, zone cache "
-        f"{serial_pipeline['zone_cache']})"
     )
     for workers, entry in campaigns.items():
         speedup = entry.get("speedup_vs_serial")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import DependenceStudy
+from repro.analysis import DependenceStudy, persian_case_study
 from repro.datasets import paper_anchors
 
 
@@ -50,6 +50,14 @@ def test_sec533_case_studies(benchmark, study, write_report) -> None:
     lines.append(
         f"  AF -> IR: {100 * measured['IR']['AF']:5.1f}% (paper >20%)"
     )
+    # The Persian-language analysis, from detected page languages and
+    # measured hosting organizations.
+    persian = persian_case_study(study.world)
+    lines.append(
+        f"  AF Persian: {100 * persian.persian_share:5.1f}% (paper 31.4%), "
+        f"hosted in IR: {100 * persian.iran_hosted_share:5.1f}% "
+        f"(paper 60.8%)"
+    )
     write_report("sec533_case_studies", "\n".join(lines) + "\n")
 
     # CIS reliance on Russia within a few points of the paper.
@@ -76,13 +84,5 @@ def test_sec533_case_studies(benchmark, study, write_report) -> None:
     assert study.hosting.dependence_on("AT", "DE") > 0.02
 
     # The Persian-language analysis.
-    world = study.world
-    af_domains = world.toplists["AF"].domains
-    persian = [d for d in af_domains if world.sites[d].language == "fa"]
-    assert len(persian) / len(af_domains) == pytest.approx(0.314, abs=0.05)
-    persian_in_iran = sum(
-        1
-        for d in persian
-        if world.provider_home(world.sites[d].hosting) == "IR"
-    )
-    assert persian_in_iran / len(persian) == pytest.approx(0.608, abs=0.12)
+    assert persian.persian_share == pytest.approx(0.314, abs=0.05)
+    assert persian.iran_hosted_share == pytest.approx(0.608, abs=0.12)

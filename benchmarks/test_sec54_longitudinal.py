@@ -14,15 +14,11 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import DependenceStudy, SnapshotComparison
-from repro.pipeline import MeasurementPipeline
 from repro.worldgen import evolve
 
 
 def _evolve_and_compare(study: DependenceStudy) -> SnapshotComparison:
-    new_world = evolve(study.world)
-    new_study = DependenceStudy(
-        new_world, MeasurementPipeline(new_world).run()
-    )
+    new_study = DependenceStudy.measure(evolve(study.world))
     return SnapshotComparison(study, new_study)
 
 

@@ -12,7 +12,6 @@ Run:  python examples/longitudinal_change.py
 from __future__ import annotations
 
 from repro.analysis import DependenceStudy, SnapshotComparison
-from repro.pipeline import MeasurementPipeline
 from repro.worldgen import WorldConfig, evolve
 
 COUNTRIES = (
@@ -26,10 +25,7 @@ def main() -> None:
     print("building the May-2023 snapshot...")
     old_study = DependenceStudy.run(config)
     print("evolving to May-2025 and re-measuring...")
-    new_world = evolve(old_study.world)
-    new_study = DependenceStudy(
-        new_world, MeasurementPipeline(new_world).run()
-    )
+    new_study = DependenceStudy.measure(evolve(old_study.world))
     cmp = SnapshotComparison(old_study, new_study)
 
     print(f"\nscore correlation 2023 vs 2025: {cmp.score_correlation}")

@@ -11,7 +11,7 @@ Run:  python examples/regional_case_studies.py
 
 from __future__ import annotations
 
-from repro.analysis import DependenceStudy
+from repro.analysis import DependenceStudy, persian_case_study
 from repro.datasets import paper_anchors
 from repro.worldgen import WorldConfig
 
@@ -55,19 +55,12 @@ def main() -> None:
     print("\n=== Iran / Afghanistan (with language analysis) ===")
     af_ir = hosting.dependence_on("AF", "IR")
     print(f"  AF -> IR: {100 * af_ir:.1f}% (paper: >20%)")
-    world = study.world
-    af_domains = world.toplists["AF"].domains
-    persian = [d for d in af_domains if world.sites[d].language == "fa"]
-    persian_in_iran = sum(
-        1
-        for d in persian
-        if world.provider_home(world.sites[d].hosting) == "IR"
-    )
+    persian = persian_case_study(study.world)
     print(
         f"  Persian sites in AF toplist: "
-        f"{100 * len(persian) / len(af_domains):.1f}% (paper: 31.4%); "
+        f"{100 * persian.persian_share:.1f}% (paper: 31.4%); "
         f"of those hosted in Iran: "
-        f"{100 * persian_in_iran / len(persian):.1f}% (paper: 60.8%)"
+        f"{100 * persian.iran_hosted_share:.1f}% (paper: 60.8%)"
     )
 
     print("\n=== Dominant single regional providers ===")

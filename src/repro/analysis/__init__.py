@@ -33,11 +33,13 @@ from .pairwise import (
 from .longitudinal import SnapshotComparison
 from .regional import (
     DependenceMatrix,
+    PersianCaseStudy,
     anycast_share,
     continent_means,
     ip_geolocation_matrix,
     layer_insularity_cdf,
     ns_geolocation_matrix,
+    persian_case_study,
     provider_hq_matrix,
     subregion_means,
 )
@@ -106,6 +108,8 @@ __all__ = [
     "provider_hq_matrix",
     "ip_geolocation_matrix",
     "ns_geolocation_matrix",
+    "PersianCaseStudy",
+    "persian_case_study",
     "anycast_share",
     "layer_insularity_cdf",
     "country_report",

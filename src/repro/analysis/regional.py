@@ -4,7 +4,7 @@ Implements the geography-level computations behind Figures 5 and 8–10:
 mean centralization and insularity per UN subregion and continent, and
 the continent-to-continent dependence matrices (provider headquarters,
 IP geolocation, nameserver geolocation with anycast as its own
-category).
+category), plus the §5.3.3 Persian-language case study.
 """
 
 from __future__ import annotations
@@ -14,7 +14,9 @@ from dataclasses import dataclass
 
 from ..datasets.countries import COUNTRIES, CONTINENTS
 from ..errors import UnknownLayerError
+from ..pipeline.measure import MeasurementPipeline
 from ..pipeline.records import MeasurementDataset
+from ..worldgen.world import World
 from .layers import LayerAnalysis
 
 __all__ = [
@@ -24,6 +26,8 @@ __all__ = [
     "provider_hq_matrix",
     "ip_geolocation_matrix",
     "ns_geolocation_matrix",
+    "PersianCaseStudy",
+    "persian_case_study",
 ]
 
 
@@ -193,3 +197,32 @@ def layer_insularity_cdf(
         xs.append(x)
         ys.append(sum(1 for v in values if v <= x) / n)
     return xs, ys
+
+
+@dataclass(frozen=True, slots=True)
+class PersianCaseStudy:
+    """Section 5.3.3: Persian-language sites in Afghanistan's toplist."""
+
+    #: Share of AF sites whose fetched page is detected as Persian.
+    persian_share: float
+    #: Share of those Persian sites hosted by an Iran-registered org.
+    iran_hosted_share: float
+
+
+def persian_case_study(world: World) -> PersianCaseStudy:
+    """Measure AF with the LangDetect step and attribute its Persian sites.
+
+    One fresh single-country pipeline fetches every AF page and detects
+    its language (the paper's LangDetect step); the Iran share comes
+    from the measured ``hosting_org_country``, never from the world's
+    ground truth.
+    """
+    rows = MeasurementPipeline(world, detect_language=True).measure_country(
+        "AF"
+    )
+    persian = [row for row in rows if row.language == "fa"]
+    in_iran = sum(1 for row in persian if row.hosting_org_country == "IR")
+    return PersianCaseStudy(
+        persian_share=len(persian) / len(rows),
+        iran_hosted_share=in_iran / len(persian) if persian else 0.0,
+    )

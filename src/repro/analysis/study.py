@@ -3,8 +3,9 @@
 :class:`DependenceStudy` bundles one complete reproduction run — a
 calibrated world, its Stanford-vantage measurement, and lazily built
 :class:`~repro.analysis.layers.LayerAnalysis` objects for each
-infrastructure layer.  ``DependenceStudy.run`` memoizes by configuration
-so the many benchmark files share a single build.
+infrastructure layer.  It measures through ``run_campaign``, the same
+country units as ``repro measure``.  ``DependenceStudy.run`` memoizes
+by configuration so the many benchmark files share a single build.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from ..core.centralization import centralization_score
 from ..core.distributions import ProviderDistribution
 from ..datasets.paper_scores import LAYERS, PAPER_SCORES
 from ..errors import UnknownLayerError
-from ..pipeline.measure import MeasurementPipeline
+from ..pipeline.parallel import CampaignSpec, run_campaign
 from ..pipeline.records import MeasurementDataset
 from ..worldgen.config import WorldConfig
 from ..worldgen.world import World
@@ -39,11 +40,15 @@ class DependenceStudy:
     # ------------------------------------------------------------------
 
     @classmethod
+    def measure(cls, world: World) -> "DependenceStudy":
+        """Measure every country of a built world, one unit each."""
+        result = run_campaign(CampaignSpec(world.config), world=world)
+        return cls(world, result.dataset)
+
+    @classmethod
     def build(cls, config: WorldConfig | None = None) -> "DependenceStudy":
         """Build a world and measure it (uncached)."""
-        world = World(config)
-        dataset = MeasurementPipeline(world).run()
-        return cls(world, dataset)
+        return cls.measure(World(config))
 
     @classmethod
     def run(cls, config: WorldConfig | None = None) -> "DependenceStudy":

@@ -730,12 +730,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_longitudinal(args: argparse.Namespace) -> int:
     from .analysis import DependenceStudy, SnapshotComparison
-    from .pipeline import MeasurementPipeline
     from .worldgen import evolve
 
     old = _study(args)
-    new_world = evolve(old.world)
-    new = DependenceStudy(new_world, MeasurementPipeline(new_world).run())
+    new = DependenceStudy.measure(evolve(old.world))
     cmp = SnapshotComparison(old, new)
     print(f"score correlation: {cmp.score_correlation}")
     print(f"largest increase:  {cmp.largest_increase}")

@@ -24,8 +24,6 @@ reason instead of re-probing it for every delegating site.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 from ..errors import PipelineError, ReproError
 from ..faults.breaker import CircuitBreaker
 from ..faults.plan import FaultPlan
@@ -34,7 +32,7 @@ from ..faults.taxonomy import failure_class, format_failure
 from ..net.dns import Resolver, ZoneCache
 from ..obs.instrument import NULL_OBS, Instrumentation
 from ..worldgen.world import World
-from .records import MeasurementDataset, WebsiteMeasurement
+from .records import WebsiteMeasurement
 
 __all__ = ["MeasurementPipeline", "STANFORD_VANTAGE_CONTINENT"]
 
@@ -53,7 +51,12 @@ _NO_DNS_INFRA: tuple[str | None, str | None, str | None, bool] = (
 
 
 class MeasurementPipeline:
-    """Scans a :class:`~repro.worldgen.world.World` from one vantage."""
+    """Scans a :class:`~repro.worldgen.world.World` from one vantage.
+
+    The body of one country unit
+    (:func:`~repro.pipeline.parallel.measure_country_unit`); a whole
+    world is measured through :func:`~repro.pipeline.parallel.run_campaign`.
+    """
 
     def __init__(
         self,
@@ -61,21 +64,16 @@ class MeasurementPipeline:
         vantage_continent: str = STANFORD_VANTAGE_CONTINENT,
         *,
         vantage_country: str | None = None,
-        measure_tls: bool = True,
         detect_language: bool = False,
-        inter_site_seconds: float = 0.0,
         fault_plan: FaultPlan | None = None,
         retry_policy: RetryPolicy | None = None,
-        breaker: CircuitBreaker | None = None,
         obs: Instrumentation | None = None,
         zone_cache: ZoneCache | None = None,
     ) -> None:
         self.world = world
         self.vantage_continent = vantage_continent
         self.vantage_country = vantage_country
-        self.measure_tls = measure_tls
         self.detect_language = detect_language
-        self._inter_site_seconds = inter_site_seconds
         self.resolver = Resolver(
             world.namespace,
             vantage_continent=vantage_continent,
@@ -86,11 +84,7 @@ class MeasurementPipeline:
         if fault_plan is not None:
             fault_plan.wrap_resolver(self.resolver)
         self.retry_policy = retry_policy
-        self.breaker = (
-            breaker
-            if breaker is not None
-            else CircuitBreaker(clock=lambda: self.resolver.clock)
-        )
+        self.breaker = CircuitBreaker(clock=lambda: self.resolver.clock)
         #: Telemetry sink (spans + metrics + logs).  The default is a
         #: shared no-op object, so the uninstrumented pipeline produces
         #: byte-identical output at full speed.
@@ -101,8 +95,7 @@ class MeasurementPipeline:
         if obs is not None:
             obs.bind_clock(self.resolver.clock_fn())
             self.resolver.observer = obs
-            if self.breaker.on_transition is None:
-                self.breaker.on_transition = obs.breaker_transition
+            self.breaker.on_transition = obs.breaker_transition
         #: ns_host -> (labels-or-None, negative-entry expiry, geo-stale
         #: flag).  Dead nameservers are cached too (negative entries
         #: carry their expiry on the logical clock) so one dead host is
@@ -156,8 +149,6 @@ class MeasurementPipeline:
         domain/country through the parent link, and the empty-attrs
         form keeps six dict builds per site off the hot path.
         """
-        if self._inter_site_seconds:
-            self.resolver.advance_clock(self._inter_site_seconds)
         obs = self.obs
         with obs.span("site", domain=domain, country=country):
             record = self._measure_site(domain, country, rank)
@@ -223,30 +214,28 @@ class MeasurementPipeline:
 
         ca_owner = ca_country = None
         tls_error: str | None = None
-        if self.measure_tls:
-            tls_hook = plan.tls_hook if plan is not None else None
-            try:
-                with obs.span("tls"):
-                    certificate = session.run(
-                        f"tls:{serving_host}",
-                        lambda: world.tls_handshake(
-                            ip, serving_host, fault_hook=tls_hook
-                        ),
-                        self._wait,
-                    )
-                if not certificate.covers(serving_host):
-                    tls_error = (
-                        "tls: certificate: certificate does not cover "
-                        "hostname"
-                    )
-                    obs.tls_outcome("certificate")
-                else:
-                    owner = world.ccadb.owner_of(certificate.issuer_cn)
-                    ca_owner, ca_country = owner.name, owner.country
-                    obs.tls_outcome("ok")
-            except ReproError as exc:
-                tls_error = format_failure("tls", exc)
-                obs.tls_outcome(failure_class(exc))
+        tls_hook = plan.tls_hook if plan is not None else None
+        try:
+            with obs.span("tls"):
+                certificate = session.run(
+                    f"tls:{serving_host}",
+                    lambda: world.tls_handshake(
+                        ip, serving_host, fault_hook=tls_hook
+                    ),
+                    self._wait,
+                )
+            if not certificate.covers(serving_host):
+                tls_error = (
+                    "tls: certificate: certificate does not cover hostname"
+                )
+                obs.tls_outcome("certificate")
+            else:
+                owner = world.ccadb.owner_of(certificate.issuer_cn)
+                ca_owner, ca_country = owner.name, owner.country
+                obs.tls_outcome("ok")
+        except ReproError as exc:
+            tls_error = format_failure("tls", exc)
+            obs.tls_outcome(failure_class(exc))
 
         with obs.span("enrich"):
             try:
@@ -406,19 +395,3 @@ class MeasurementPipeline:
             self.measure_site(domain, country, rank)
             for rank, domain in enumerate(toplist.domains, start=1)
         ]
-
-    def run(
-        self, countries: Sequence[str] | None = None
-    ) -> MeasurementDataset:
-        """Measure all (or selected) countries into a dataset."""
-        dataset = MeasurementDataset(
-            vantage_continent=self.vantage_continent
-        )
-        targets = (
-            list(countries)
-            if countries is not None
-            else sorted(self.world.toplists)
-        )
-        for country in targets:
-            dataset.extend(self.measure_country(country))
-        return dataset

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import multiprocessing
 import time
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
@@ -137,6 +138,23 @@ class CampaignSpec:
     #: *tuple* of recipes is a churn chain applied left to right
     #: (epoch N of a longitudinal watch is N chained evolutions).
     churn: ChurnConfig | tuple[ChurnConfig, ...] | None = None
+
+    def __post_init__(self) -> None:
+        if self.countries is None:
+            return
+        repeated = sorted(
+            cc for cc, n in Counter(self.countries).items() if n > 1
+        )
+        if repeated:
+            raise PipelineError(
+                f"campaign countries repeated: {', '.join(repeated)}"
+            )
+        unknown = sorted(set(self.countries) - set(self.config.countries))
+        if unknown:
+            raise PipelineError(
+                f"campaign countries not in the world config: "
+                f"{', '.join(unknown)}"
+            )
 
     def churn_chain(self) -> tuple[ChurnConfig, ...]:
         """The churn recipes applied to the base world, in order."""
@@ -535,6 +553,7 @@ def run_campaign(
     policy: SupervisorPolicy | None = None,
     chaos: "ChaosPlan | None" = None,
     should_halt: Callable[[], bool] | None = None,
+    world: World | None = None,
 ) -> CampaignResult:
     """Run a campaign, optionally sharded, persisted, and supervised.
 
@@ -564,7 +583,10 @@ def run_campaign(
     production use.  ``should_halt`` is the cooperative-stop hook:
     checked after every checkpoint, a True return halts the campaign
     exactly like ``halt_after`` (used for signal-triggered graceful
-    shutdown and per-epoch deadlines in ``repro watch``).
+    shutdown and per-epoch deadlines in ``repro watch``).  ``world``
+    is an already-built ``spec.build_world()``: the parent measures
+    (and, under fork, shares) it instead of building its own, so a
+    caller that holds the world never pays for a second build.
     """
     if (resume or baseline is not None) and store is None:
         raise PipelineError(
@@ -577,12 +599,14 @@ def run_campaign(
     profiler = CampaignProfiler() if spec.instrument else None
 
     def build_parent_world() -> World:
+        if world is not None:
+            return world
         if profiler is None:
             return spec.build_world()
         build_start = profiler.now()
-        world = spec.build_world()
+        built = spec.build_world()
         profiler.world_built("main", build_start, profiler.now())
-        return world
+        return built
 
     parent_world: World | None = None
     session: _StoreSession | None = None
@@ -621,12 +645,13 @@ def run_campaign(
     workers = min(workers, max(len(to_measure), 1))
     supervised = workers > 1 or policy is not None or chaos is not None
     if not supervised:
-        world = parent_world
-        if world is None and to_measure:
-            world = build_parent_world()
         shared: WorkerContext | None = None
-        if world is not None:
-            shared = WorkerContext.for_world(world)
+        if to_measure:
+            shared = WorkerContext.for_world(
+                parent_world
+                if parent_world is not None
+                else build_parent_world()
+            )
         for cc in to_measure:
             assert shared is not None
             compute_start = profiler.now() if profiler is not None else 0.0

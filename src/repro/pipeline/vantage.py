@@ -5,10 +5,11 @@ it re-resolves each country's toplist through RIPE Atlas probes located
 *in* that country and checks that the recomputed hosting centralization
 scores correlate strongly (rho = 0.96) with the Stanford-based ones.
 
-Here each country's probe measurement uses a resolver whose vantage
-continent is the country's own continent, so geo-routed (CDN) answers —
-and the occasional multi-CDN site — differ from the North American
-view, producing realistic, slightly-divergent scores.
+Here each country's probe measurement is a country unit whose spec
+carries the country's own vantage (its continent and the country
+itself), so geo-routed (CDN) answers — and the occasional multi-CDN
+site — differ from the North American view, producing realistic,
+slightly-divergent scores.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from dataclasses import dataclass
 from ..core.centralization import centralization_score
 from ..core.correlation import CorrelationResult, pearson
 from ..datasets.countries import COUNTRIES
-from ..pipeline.measure import STANFORD_VANTAGE_CONTINENT, MeasurementPipeline
+from ..net.dns import ZoneCache
 from ..worldgen.world import World
+from .parallel import CampaignSpec, measure_country_unit, run_campaign
 from .records import MeasurementDataset
 
 __all__ = ["VantageComparison", "ripe_style_dataset", "validate_vantage"]
@@ -45,15 +47,17 @@ def ripe_style_dataset(
     which is the stronger (more divergent) test.
     """
     targets = countries if countries is not None else sorted(world.toplists)
+    zone_cache = ZoneCache(world.namespace)
     combined = MeasurementDataset(vantage_continent=None)
     for cc in targets:
-        pipeline = MeasurementPipeline(
-            world,
+        spec = CampaignSpec(
+            world.config,
             vantage_continent=COUNTRIES[cc].continent,
             vantage_country=cc,
-            measure_tls=False,
         )
-        combined.extend(pipeline.measure_country(cc))
+        combined.extend(
+            measure_country_unit(world, spec, cc, zone_cache).rows
+        )
     return combined
 
 
@@ -65,11 +69,8 @@ def validate_vantage(
     """Reproduce the Section 3.4 vantage-point experiment."""
     targets = countries if countries is not None else sorted(world.toplists)
     if stanford is None:
-        stanford = MeasurementPipeline(
-            world,
-            vantage_continent=STANFORD_VANTAGE_CONTINENT,
-            measure_tls=False,
-        ).run(targets)
+        spec = CampaignSpec(world.config, countries=tuple(targets))
+        stanford = run_campaign(spec, world=world).dataset
     probes = ripe_style_dataset(world, targets)
     stanford_scores = tuple(
         centralization_score(stanford.distribution(cc, "hosting"))

@@ -109,9 +109,12 @@ def etag_of(body: bytes) -> str:
 
 
 def _matches(etag: str, if_none_match: str | None) -> bool:
+    """If-None-Match uses weak comparison (RFC 9110 §13.1.2)."""
     if if_none_match is None:
         return False
-    candidates = {tag.strip() for tag in if_none_match.split(",")}
+    candidates = {
+        tag.strip().removeprefix("W/") for tag in if_none_match.split(",")
+    }
     return etag in candidates or "*" in candidates
 
 

@@ -54,11 +54,15 @@ class ServeHandler(BaseHTTPRequestHandler):
         if response.etag is not None:
             self.send_header("ETag", response.etag)
             self.send_header("Cache-Control", "no-cache")
-        body = b"" if head or response.status == 304 else response.body
-        self.send_header("Content-Length", str(len(body)))
+        if response.status == 304:
+            # No body and no length (RFC 9110 §8.6).
+            self.end_headers()
+            return
+        # HEAD advertises the length a GET would send.
+        self.send_header("Content-Length", str(len(response.body)))
         self.end_headers()
-        if body:
-            self.wfile.write(body)
+        if not head:
+            self.wfile.write(response.body)
 
     def send_error(  # type: ignore[override]
         self, code: int, message: str | None = None, explain: str | None = None

@@ -189,6 +189,10 @@ class World:
         self._domains = DomainFactory(self.config.seed ^ 0x5EED)
         self._brand_of_ca: dict[str, str] = {}
         self._site_issuer: dict[str, tuple[str, str]] = {}
+        #: In-country cache-node address -> the CDN it caches for.  The
+        #: node sits in the telecom's address space but terminates TLS
+        #: for the CDN's customers, like an embedded CDN cache does.
+        self._cache_node_cdn: dict[int, str] = {}
 
         self._build()
 
@@ -992,6 +996,7 @@ class World:
             )
             for j, variant in enumerate(picks):
                 tables[int(variant)][f"cc:{cc}"] = prefix.address(j)
+                self._cache_node_cdn[prefix.address(j)] = provider_name
 
     def asdb_register_or_announce(
         self, org: str, country: str, prefix: Prefix
@@ -1099,7 +1104,10 @@ class World:
         valid_orgs = {record.hosting}
         if record.secondary_cdn is not None:
             valid_orgs.add(record.secondary_cdn)
-        if org is None or org not in valid_orgs:
+        if (
+            org not in valid_orgs
+            and self._cache_node_cdn.get(address) not in valid_orgs
+        ):
             raise TLSError(
                 f"{sni!r} is not served at address {address} (org {org!r})"
             )

@@ -27,7 +27,8 @@ def artifacts(tmp_path_factory):
         retry_policy=RetryPolicy(max_attempts=3, seed=0),
         obs=obs,
     )
-    pipeline.run()
+    for cc in ("TH", "US"):
+        pipeline.measure_country(cc)
     obs.finalize(pipeline)
     out = tmp_path_factory.mktemp("campaign")
     metrics_path = out / "metrics.json"

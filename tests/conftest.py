@@ -46,7 +46,4 @@ def small_world(small_config: WorldConfig) -> World:
 
 @pytest.fixture(scope="session")
 def small_study(small_world: World) -> DependenceStudy:
-    from repro.pipeline import MeasurementPipeline
-
-    dataset = MeasurementPipeline(small_world).run()
-    return DependenceStudy(small_world, dataset)
+    return DependenceStudy.measure(small_world)

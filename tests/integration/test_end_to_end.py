@@ -11,7 +11,7 @@ import pytest
 from repro.analysis import DependenceStudy, SnapshotComparison
 from repro.core import pearson
 from repro.datasets.paper_scores import LAYERS
-from repro.pipeline import MeasurementPipeline
+from repro.pipeline import CampaignSpec, run_campaign
 from repro.worldgen import World, evolve
 from tests.conftest import TEST_COUNTRIES
 
@@ -108,7 +108,9 @@ class TestPaperReproduction:
             assert zone is not None
             zone.broken = True
             broken += 1
-        dataset = MeasurementPipeline(world).run(["US"])
+        dataset = run_campaign(
+            CampaignSpec(world.config, countries=("US",)), world=world
+        ).dataset
         assert dataset.failure_rate("US") == pytest.approx(broken / 100)
         # Distributions still computable from surviving records.
         dist = dataset.distribution("US", "hosting")
@@ -120,10 +122,7 @@ class TestLongitudinalIntegration:
     def comparison(
         self, small_world: World, small_study: DependenceStudy
     ) -> SnapshotComparison:
-        new_world = evolve(small_world)
-        new_study = DependenceStudy(
-            new_world, MeasurementPipeline(new_world).run()
-        )
+        new_study = DependenceStudy.measure(evolve(small_world))
         return SnapshotComparison(small_study, new_study)
 
     def test_high_score_correlation(

@@ -18,7 +18,7 @@ import pytest
 
 from repro.faults import RetryPolicy, fault_profile
 from repro.obs import Instrumentation
-from repro.pipeline import MeasurementPipeline
+from repro.pipeline import MeasurementDataset, MeasurementPipeline
 from repro.worldgen import World, WorldConfig
 
 COUNTRIES = ("TH", "US")
@@ -41,7 +41,9 @@ def _run(world: World, instrumented: bool):
         retry_policy=RetryPolicy(max_attempts=3, seed=SEED),
         obs=obs,
     )
-    dataset = pipeline.run()
+    dataset = MeasurementDataset()
+    for cc in COUNTRIES:
+        dataset.extend(pipeline.measure_country(cc))
     if obs is not None:
         obs.finalize(pipeline)
     return dataset, obs, pipeline

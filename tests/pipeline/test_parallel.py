@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis import DependenceStudy
 from repro.errors import PipelineError
 from repro.obs.metrics import render_metrics_json
 from repro.obs.spans import stitch_spans
@@ -21,6 +22,7 @@ from repro.pipeline import (
     CampaignSpec,
     export_csv,
     measure_country_unit,
+    rows_to_csv_text,
     run_campaign,
 )
 from repro.worldgen import World, WorldConfig
@@ -138,6 +140,41 @@ class TestCountryUnitIsolation:
             result.write_metrics("unused.json")
         with pytest.raises(PipelineError):
             result.write_trace("unused.jsonl")
+
+
+class TestOneMeasurementPath:
+    def test_study_dataset_is_the_campaign_dataset(self) -> None:
+        # The study behind the paper benchmarks and `repro measure`
+        # measure the same dataset for one config, down to `attempts`
+        # (which a pipeline carrying caches and breakers from one
+        # country into the next would change).
+        study = DependenceStudy.build(CONFIG)
+        campaign = run_campaign(CampaignSpec(CONFIG))
+        assert rows_to_csv_text(study.dataset) == rows_to_csv_text(
+            campaign.dataset
+        )
+
+    def test_prebuilt_world_measures_like_a_fresh_build(self) -> None:
+        spec = CampaignSpec(
+            config=CONFIG, fault_profile="chaos", fault_seed=3, retries=3
+        )
+        given = run_campaign(spec, world=spec.build_world())
+        built = run_campaign(spec)
+        assert rows_to_csv_text(given.dataset) == rows_to_csv_text(
+            built.dataset
+        )
+        assert given.injected_faults == built.injected_faults > 0
+        assert given.open_circuits == built.open_circuits
+
+
+class TestSpecCountries:
+    def test_country_outside_the_config_is_rejected(self) -> None:
+        with pytest.raises(PipelineError, match="not in the world config: FR"):
+            CampaignSpec(config=CONFIG, countries=("US", "FR"))
+
+    def test_repeated_country_is_rejected(self) -> None:
+        with pytest.raises(PipelineError, match="repeated: US"):
+            CampaignSpec(config=CONFIG, countries=("US", "TH", "US"))
 
 
 class TestStitchSpans:

@@ -80,7 +80,8 @@ class TestMeasurement:
         self, small_world: World
     ) -> None:
         pipeline = MeasurementPipeline(small_world)
-        pipeline.run(["US", "TH"])
+        pipeline.measure_country("US")
+        pipeline.measure_country("TH")
         assert pipeline.resolver.cache_hits > 0
 
     def test_anycast_flag_for_cloudflare_ns(

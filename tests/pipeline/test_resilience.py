@@ -27,8 +27,19 @@ from repro.faults import (
     TransientServFail,
 )
 from repro.net.dns import Resolver
-from repro.pipeline import MeasurementPipeline, export_csv
+from repro.pipeline import MeasurementDataset, MeasurementPipeline, export_csv
 from repro.worldgen import World
+
+
+def _measure(
+    world: World, countries: tuple[str, ...] = ("US", "TH"), **knobs
+) -> MeasurementDataset:
+    """Measure countries in order on one pipeline built with ``knobs``."""
+    pipeline = MeasurementPipeline(world, **knobs)
+    dataset = MeasurementDataset()
+    for cc in countries:
+        dataset.extend(pipeline.measure_country(cc))
+    return dataset
 
 
 def _rows_ignoring_attempts(dataset) -> list:
@@ -47,7 +58,7 @@ class TestRateZeroIsNoOp:
     def test_zero_rate_plan_export_byte_identical(
         self, small_world: World, tmp_path: Path
     ) -> None:
-        baseline = MeasurementPipeline(small_world).run(["US", "TH"])
+        baseline = _measure(small_world)
         plan = FaultPlan(
             (
                 TransientServFail(0.0),
@@ -58,11 +69,11 @@ class TestRateZeroIsNoOp:
             ),
             seed=123,
         )
-        faulted = MeasurementPipeline(
+        faulted = _measure(
             small_world,
             fault_plan=plan,
             retry_policy=RetryPolicy(max_attempts=3, seed=123),
-        ).run(["US", "TH"])
+        )
 
         base_csv = tmp_path / "baseline.csv"
         fault_csv = tmp_path / "faulted.csv"
@@ -77,13 +88,13 @@ class TestRetryRecovery:
     def test_transient_servfail_recovers_baseline_exactly(
         self, small_world: World
     ) -> None:
-        baseline = MeasurementPipeline(small_world).run(["US", "TH"])
+        baseline = _measure(small_world)
         plan = FaultPlan((TransientServFail(0.2),), seed=7)
-        faulted = MeasurementPipeline(
+        faulted = _measure(
             small_world,
             fault_plan=plan,
             retry_policy=RetryPolicy(max_attempts=3, seed=7),
-        ).run(["US", "TH"])
+        )
 
         assert plan.injected["TransientServFail"] > 0
         assert sum(r.attempts for r in faulted) > sum(
@@ -99,14 +110,14 @@ class TestRetryRecovery:
     def test_slow_answers_recover_with_retries(
         self, small_world: World
     ) -> None:
-        baseline = MeasurementPipeline(small_world).run(["US"])
+        baseline = MeasurementPipeline(small_world).measure_country("US")
         plan = FaultPlan((SlowAnswer(0.15, delay=5.0),), seed=3)
         pipeline = MeasurementPipeline(
             small_world,
             fault_plan=plan,
             retry_policy=RetryPolicy(max_attempts=3, seed=3),
         )
-        faulted = pipeline.run(["US"])
+        faulted = pipeline.measure_country("US")
         assert plan.injected["SlowAnswer"] > 0
         # Timeouts burned logical clock (injected delay + backoff).
         assert pipeline.resolver.clock > 0.0
@@ -118,9 +129,7 @@ class TestRetryRecovery:
         self, small_world: World
     ) -> None:
         plan = FaultPlan((TransientServFail(0.2),), seed=7)
-        faulted = MeasurementPipeline(
-            small_world, fault_plan=plan
-        ).run(["US", "TH"])
+        faulted = _measure(small_world, fault_plan=plan)
         failed = [r for r in faulted if not r.ok or r.degraded]
         assert failed
         taxonomy = faulted.failure_taxonomy()
@@ -131,11 +140,11 @@ class TestGracefulDegradation:
     def test_tls_flap_degrades_only_the_tls_layer(
         self, small_world: World
     ) -> None:
-        baseline = MeasurementPipeline(small_world).run(["US"])
+        baseline = MeasurementPipeline(small_world).measure_country("US")
         plan = FaultPlan((TlsHandshakeFlap(1.0, consecutive=1),), seed=0)
         faulted = MeasurementPipeline(
             small_world, fault_plan=plan
-        ).run(["US"])
+        ).measure_country("US")
 
         for base, row in zip(baseline, faulted):
             if base.error is not None:
@@ -154,11 +163,9 @@ class TestGracefulDegradation:
     def test_stale_geo_degrades_without_failing(
         self, small_world: World
     ) -> None:
-        baseline = MeasurementPipeline(small_world).run(["US"])
+        baseline = MeasurementPipeline(small_world).measure_country("US")
         plan = FaultPlan((StaleGeoData(0.3),), seed=5)
-        faulted = MeasurementPipeline(
-            small_world, fault_plan=plan
-        ).run(["US"])
+        faulted = _measure(small_world, ("US",), fault_plan=plan)
 
         stale_rows = 0
         for base, row in zip(baseline, faulted):
@@ -199,21 +206,27 @@ class TestNameserverOutage:
     ) -> None:
         _host, ns_hosts = _first_site_ns(small_world)
         plan = FaultPlan((NameserverOutage(hosts=ns_hosts),), seed=0)
-        breaker = CircuitBreaker(failure_threshold=1, cooldown=1e12)
-        pipeline = MeasurementPipeline(
-            small_world,
-            fault_plan=plan,
-            breaker=breaker,
+        pipeline = MeasurementPipeline(small_world, fault_plan=plan)
+        breaker = pipeline.breaker = CircuitBreaker(
+            failure_threshold=1, cooldown=1e12
+        )
+        domains = small_world.toplists["US"].domains
+
+        def measure_paced() -> list:
             # Outlive the 300 s negative-answer TTL between sites so
             # dead hosts are re-considered (and hit the open circuit).
-            inter_site_seconds=301.0,
-        )
-        first_pass = pipeline.measure_country("US")
+            rows = []
+            for rank, domain in enumerate(domains, start=1):
+                pipeline.resolver.advance_clock(301.0)
+                rows.append(pipeline.measure_site(domain, "US", rank))
+            return rows
+
+        first_pass = measure_paced()
         assert first_pass[0].dns_error is not None
         for host in ns_hosts:
             assert not breaker.allow(host)
 
-        second_pass = pipeline.measure_country("US")
+        second_pass = measure_paced()
         assert "circuit-open" in second_pass[0].dns_error
         assert sum(breaker.skips[h] for h in ns_hosts) > 0
         assert set(ns_hosts) <= set(breaker.open_keys())
@@ -233,11 +246,11 @@ class TestDeterminism:
                 ),
                 seed=42,
             )
-            dataset = MeasurementPipeline(
+            dataset = _measure(
                 small_world,
                 fault_plan=plan,
                 retry_policy=RetryPolicy(max_attempts=2, seed=42),
-            ).run(["US", "TH"])
+            )
             return dataset, plan
 
         first, first_plan = run()
@@ -254,11 +267,11 @@ class TestNsStaleGeoDegradation:
         """Regression: a stale-geo hit on the *nameserver* address once
         left the row's ``degraded`` flag False even though the row lost
         its NS geolocation."""
-        baseline = MeasurementPipeline(small_world).run(["US"])
+        baseline = MeasurementPipeline(small_world).measure_country("US")
         plan = FaultPlan((StaleGeoData(0.5),), seed=11)
         faulted = MeasurementPipeline(
             small_world, fault_plan=plan
-        ).run(["US"])
+        ).measure_country("US")
 
         ns_only_stale = 0
         for base, row in zip(baseline, faulted):

@@ -15,7 +15,13 @@ from repro.faults import (
     TransientServFail,
 )
 from repro.faults.seeding import stable_fraction
-from repro.pipeline import MeasurementPipeline, export_csv
+from repro.pipeline import (
+    CampaignSpec,
+    MeasurementDataset,
+    MeasurementPipeline,
+    export_csv,
+    run_campaign,
+)
 from repro.worldgen import World, WorldConfig
 
 SEEDS = range(25)
@@ -117,14 +123,19 @@ class TestPipelineNoFaultEquivalence:
             sites_per_country=60, countries=("US", "TH")
         )
         world = World(config)
-        baseline = MeasurementPipeline(world).run()
-        faulted = MeasurementPipeline(
-            world,
-            fault_plan=FaultPlan(
-                (TransientServFail(0.0), TlsHandshakeFlap(0.0)), seed=99
-            ),
-            retry_policy=RetryPolicy(max_attempts=4, seed=99),
-        ).run()
+        baseline = run_campaign(CampaignSpec(config), world=world).dataset
+        faulted = MeasurementDataset()
+        for cc in config.countries:
+            faulted.extend(
+                MeasurementPipeline(
+                    world,
+                    fault_plan=FaultPlan(
+                        (TransientServFail(0.0), TlsHandshakeFlap(0.0)),
+                        seed=99,
+                    ),
+                    retry_policy=RetryPolicy(max_attempts=4, seed=99),
+                ).measure_country(cc)
+            )
         base_csv = tmp_path / "a.csv"
         fault_csv = tmp_path / "b.csv"
         export_csv(baseline, base_csv)

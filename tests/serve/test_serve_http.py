@@ -58,7 +58,22 @@ class TestRoundTrips:
         assert revalidated.status == 304
         assert revalidated.read() == b""
         assert revalidated.getheader("ETag") == etag
-        assert revalidated.getheader("Content-Length") == "0"
+        assert revalidated.getheader("Content-Length") is None
+
+    def test_weak_etag_revalidates(self, conn, campaign_ids):
+        base, _ = campaign_ids
+        conn.request("GET", f"/campaigns/{base}")
+        first = conn.getresponse()
+        first.read()
+        etag = first.getheader("ETag")
+        conn.request(
+            "GET",
+            f"/campaigns/{base}",
+            headers={"If-None-Match": f'"other", W/{etag}'},
+        )
+        revalidated = conn.getresponse()
+        assert revalidated.status == 304
+        assert revalidated.read() == b""
 
     def test_head_is_bodyless(self, conn):
         conn.request("HEAD", "/campaigns")
@@ -66,6 +81,14 @@ class TestRoundTrips:
         assert response.status == 200
         assert response.read() == b""
         assert response.getheader("ETag")
+
+    def test_head_carries_the_get_length(self, conn):
+        conn.request("GET", "/campaigns")
+        body = conn.getresponse().read()
+        conn.request("HEAD", "/campaigns")
+        response = conn.getresponse()
+        assert response.read() == b""
+        assert int(response.getheader("Content-Length")) == len(body) > 0
 
     def test_404_is_json_without_traceback(self, conn):
         conn.request("GET", "/no/such/path")

@@ -106,9 +106,7 @@ class TestWorldIntegration:
         step (Section 5.3.3)."""
         from repro.pipeline import MeasurementPipeline
 
-        pipeline = MeasurementPipeline(
-            small_world, measure_tls=False, detect_language=True
-        )
+        pipeline = MeasurementPipeline(small_world, detect_language=True)
         records = pipeline.measure_country("AF")
         detected_fa = sum(1 for r in records if r.language == "fa")
         assert detected_fa / len(records) == pytest.approx(0.314, abs=0.08)

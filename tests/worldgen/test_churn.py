@@ -111,9 +111,10 @@ class TestEvolve:
         assert new_world.sites[domain] is not old_world.sites[domain]
 
     def test_new_world_remeasurable(self, new_world: World) -> None:
-        from repro.pipeline import MeasurementPipeline
+        from repro.pipeline import CampaignSpec, run_campaign
 
-        dataset = MeasurementPipeline(new_world).run(["BR"])
+        spec = CampaignSpec(new_world.config, countries=("BR",))
+        dataset = run_campaign(spec, world=new_world).dataset
         assert dataset.failure_rate("BR") == 0.0
 
     def test_br_score_rises_ru_falls(

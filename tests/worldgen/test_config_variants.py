@@ -54,7 +54,7 @@ class TestNoMultiCdn:
 
 class TestGeoNoise:
     def test_noisy_world_measurable(self) -> None:
-        from repro.pipeline import MeasurementPipeline
+        from repro.analysis import DependenceStudy
 
         world = World(
             WorldConfig(
@@ -63,7 +63,7 @@ class TestGeoNoise:
                 geo_error_rate=0.2,
             )
         )
-        dataset = MeasurementPipeline(world).run()
+        dataset = DependenceStudy.measure(world).dataset
         assert dataset.failure_rate("US") == 0.0
         # Some fraction of IP geolocations disagree with the AS home.
         mislabeled = sum(
