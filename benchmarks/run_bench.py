@@ -99,7 +99,9 @@ def bench_overhead(
     noise-floor readings instead of two phase averages.
     """
     config = WorldConfig(sites_per_country=sites, countries=countries)
-    build_seconds, world = _best_of(repeat, lambda: World(config))
+    build_seconds, world = _best_of(
+        repeat, lambda: World(config).materialize()
+    )
     assert isinstance(world, World)
 
     def run(instrumented: bool):

@@ -111,6 +111,21 @@ class CampaignHalted(PipelineError):
         self.completed = completed
 
 
+def check_churn_countries(churn: ChurnConfig, config: WorldConfig) -> None:
+    """Reject a churn recipe naming countries outside the world config.
+
+    ``evolve`` checks this too, but only when it runs — after earlier
+    epochs were measured and stored.
+    """
+    if churn.churn_countries is None:
+        return
+    unknown = sorted(set(churn.churn_countries) - set(config.countries))
+    if unknown:
+        raise PipelineError(
+            f"churn countries not in the world config: {', '.join(unknown)}"
+        )
+
+
 @dataclass(frozen=True)
 class CampaignSpec:
     """Everything a worker needs to measure a country deterministically.
@@ -140,6 +155,8 @@ class CampaignSpec:
     churn: ChurnConfig | tuple[ChurnConfig, ...] | None = None
 
     def __post_init__(self) -> None:
+        for churn in self.churn_chain():
+            check_churn_countries(churn, self.config)
         if self.countries is None:
             return
         repeated = sorted(
@@ -165,11 +182,15 @@ class CampaignSpec:
         return tuple(self.churn)
 
     def build_world(self) -> World:
-        """Materialize the world this campaign measures."""
+        """Build the world this campaign measures, substrate included.
+
+        ``evolve`` reads only the logical layer, so the chain's
+        intermediate worlds never materialize a network substrate.
+        """
         world = World(self.config)
         for churn in self.churn_chain():
             world = evolve(world, churn)
-        return world
+        return world.materialize()
 
     def resolved_countries(self) -> list[str]:
         """The sorted country list this campaign will measure."""

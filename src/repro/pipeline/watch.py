@@ -52,9 +52,14 @@ from typing import TYPE_CHECKING
 
 from ..errors import PipelineError
 from ..obs.instrument import WatchTelemetry
-from ..worldgen.churn import ChurnConfig
+from ..worldgen.churn import ChurnConfig, evolve
 from .export import export_csv
-from .parallel import CampaignHalted, CampaignSpec, run_campaign
+from .parallel import (
+    CampaignHalted,
+    CampaignSpec,
+    check_churn_countries,
+    run_campaign,
+)
 from .supervisor import SupervisorPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -149,6 +154,7 @@ class WatchSpec:
                 "the watch owns world evolution; pass a base spec "
                 "with churn=None and set WatchSpec.churn instead"
             )
+        check_churn_countries(self.churn, self.spec.config)
         if (
             self.store_quota_bytes is not None
             and self.store_quota_bytes < 1
@@ -386,6 +392,9 @@ def run_watch(
         if chaos is not None:
             chaos.fire(epoch, phase)
 
+    # The session's first epoch replays the churn chain from the base
+    # world; each later epoch evolves the previous epoch's world.
+    world = None
     with GracefulShutdown() as shutdown:
         for epoch in range(len(ledger.entries), watch.epochs):
             fire(epoch, "epoch-start")
@@ -422,6 +431,11 @@ def run_watch(
                     return True
                 return False
 
+            world = (
+                spec.build_world()
+                if world is None
+                else evolve(world, watch.epoch_churn(epoch))
+            )
             try:
                 result = run_campaign(
                     spec,
@@ -431,6 +445,7 @@ def run_watch(
                     baseline=baseline,
                     policy=policy,
                     should_halt=should_halt,
+                    world=world,
                 )
             except CampaignHalted as halted:
                 if not deadline_blown:

@@ -1,6 +1,7 @@
 """World materialization: from calibrated templates to a living network.
 
-:class:`World` assembles the entire synthetic web:
+:class:`World` assembles the entire synthetic web in two stages.  The
+*logical layer* is built on construction:
 
 1. builds calibrated per-country, per-layer provider count targets
    (templates from :mod:`~repro.worldgen.profiles`, scores nailed by
@@ -10,9 +11,13 @@
    residual-filling step;
 3. couples the layers at the site level (sites reuse their hosting
    provider for DNS when the country's DNS target allows, and get
-   certificates from their host's partner CAs — Sections 6.1/7.1);
-4. materializes the substrate: ASes, prefixes, geolocation, anycast,
-   authoritative zones, nameservers, and on-demand TLS certificates.
+   certificates from their host's partner CAs — Sections 6.1/7.1).
+
+The *network substrate* — ASes, prefixes, geolocation, anycast,
+authoritative zones, nameservers, redirects and TLS issuers — is
+materialized from the logical layer on first use.  Churn
+(:func:`~repro.worldgen.churn.evolve`) reads only the logical layer,
+so the intermediate worlds of a churn chain never build one.
 
 Everything is a deterministic function of the :class:`WorldConfig`.
 """
@@ -149,7 +154,23 @@ class EvolutionPlan:
 
 
 class World:
-    """The fully materialized synthetic web."""
+    """The synthetic web: a logical layer plus its network substrate.
+
+    Construction builds the logical layer (targets, sites, toplists).
+    The substrate attributes in :attr:`_SUBSTRATE` do not exist until
+    :meth:`_materialize_infrastructure` creates them, which the first
+    read of any of them (:meth:`__getattr__`) or :meth:`materialize`
+    does; afterwards every substrate read is a plain attribute read.
+    """
+
+    #: The attributes :meth:`_materialize_infrastructure` creates.
+    _SUBSTRATE = frozenset(
+        {
+            "asdb", "geo", "anycast", "namespace", "tls", "http",
+            "provider_infra", "_blocks", "_brand_of_ca", "_site_issuer",
+            "_cache_node_cdn",
+        }
+    )
 
     def __init__(
         self,
@@ -160,41 +181,35 @@ class World:
         self._plan = plan
         self.market = ProviderMarket()
         self.psl: PublicSuffixList = default_psl()
-        self.asdb = ASDatabase()
-        self.geo = GeoDatabase(
-            error_rate=self.config.geo_error_rate, seed=self.config.seed
-        )
-        self.anycast = AnycastRegistry()
-        self.namespace = Namespace(self.psl)
         self.ccadb: CCADB = default_ccadb()
-        self.tls = TLSFabric()
-        self.http = HttpFabric()
 
         self.sites: dict[str, SiteRecord] = {}
         self.toplists: dict[str, Toplist] = {}
         #: Globally shared site pool, most-popular first (the "Global
         #: Top 10k" aggregate of Figure 12 is its top ``C`` entries).
         self.global_pool_domains: list[str] = []
-        self.provider_infra: dict[str, ProviderInfra] = {}
         self.calibration_report: dict[tuple[str, str], dict[str, float]] = {}
         #: country -> layer -> provider/CA/TLD -> target site count.
         self.targets: dict[str, dict[str, dict[str, int]]] = {}
-
-        #: Keyed allocation: each provider (and each cache node) owns a
-        #: hash-placed /16 block, so its addresses depend only on its
-        #: own key and request sequence — not on which other providers
-        #: exist.  This is what keeps an unchanged provider's addresses
-        #: stable across world epochs (incremental re-measurement).
-        self._blocks = KeyedPrefixAllocator()
         self._domains = DomainFactory(self.config.seed ^ 0x5EED)
-        self._brand_of_ca: dict[str, str] = {}
-        self._site_issuer: dict[str, tuple[str, str]] = {}
-        #: In-country cache-node address -> the CDN it caches for.  The
-        #: node sits in the telecom's address space but terminates TLS
-        #: for the CDN's customers, like an embedded CDN cache does.
-        self._cache_node_cdn: dict[int, str] = {}
 
         self._build()
+
+    def __getattr__(self, name: str):
+        # Normal lookup failed: a substrate attribute that does not
+        # exist yet is built (all of them at once) on this first read.
+        if name not in World._SUBSTRATE:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        self._materialize_infrastructure()
+        return self.__dict__[name]
+
+    def materialize(self) -> "World":
+        """Build the network substrate unless it exists; returns self."""
+        if "namespace" not in self.__dict__:
+            self._materialize_infrastructure()
+        return self
 
     # ------------------------------------------------------------------
     # RNG plumbing
@@ -216,7 +231,6 @@ class World:
         pool_sites = self._build_global_pool()
         self._build_countries(pool_sites)
         self._apply_language_case_studies()
-        self._materialize_infrastructure()
 
     def _build_templates(self) -> dict[tuple[str, str], LayerTemplate]:
         overrides = self._plan.overrides if self._plan is not None else None
@@ -1009,6 +1023,28 @@ class World:
             self.asdb.register(org, country, (prefix,))
 
     def _materialize_infrastructure(self) -> None:
+        self.asdb = ASDatabase()
+        self.geo = GeoDatabase(
+            error_rate=self.config.geo_error_rate, seed=self.config.seed
+        )
+        self.anycast = AnycastRegistry()
+        self.namespace = Namespace(self.psl)
+        self.tls = TLSFabric()
+        self.http = HttpFabric()
+        self.provider_infra: dict[str, ProviderInfra] = {}
+        #: Keyed allocation: each provider (and each cache node) owns a
+        #: hash-placed /16 block, so its addresses depend only on its
+        #: own key and request sequence — not on which other providers
+        #: exist.  This is what keeps an unchanged provider's addresses
+        #: stable across world epochs (incremental re-measurement).
+        self._blocks = KeyedPrefixAllocator()
+        self._brand_of_ca: dict[str, str] = {}
+        self._site_issuer: dict[str, tuple[str, str]] = {}
+        #: In-country cache-node address -> the CDN it caches for.  The
+        #: node sits in the telecom's address space but terminates TLS
+        #: for the CDN's customers, like an embedded CDN cache does.
+        self._cache_node_cdn: dict[int, str] = {}
+
         served = self._countries_served()
         # Carried-over sites may reference providers that fell out of
         # every target (longitudinal churn); they still need presence.

@@ -332,3 +332,42 @@ class TestReplayIdempotence:
         assert report.ran == ()
         assert report.exit_code() == 0
         assert artifacts(clean_root, series) == before
+
+
+class TestSessionCarriesItsWorld:
+    def test_one_session_matches_one_epoch_sessions(
+        self, tmp_path: Path, monkeypatch
+    ) -> None:
+        # A session evolves its previous epoch's world once per epoch
+        # (N - 1 evolve calls for N epochs); a one-epoch session
+        # replays the whole chain.  Both write the same bytes.
+        from repro.pipeline import parallel, watch
+        from repro.worldgen import evolve
+
+        calls: list[str] = []
+
+        def counting(world, churn=None):
+            calls.append(churn.new_snapshot)
+            return evolve(world, churn)
+
+        monkeypatch.setattr(watch, "evolve", counting)
+        monkeypatch.setattr(parallel, "evolve", counting)
+        report = run_watch(
+            make_watch(),
+            CampaignStore(tmp_path / "one" / "store"),
+            export_dir=tmp_path / "one" / "exports",
+        )
+        assert report.ran == tuple(range(EPOCHS))
+        assert len(calls) == EPOCHS - 1
+
+        store = CampaignStore(tmp_path / "many" / "store")
+        for target in range(1, EPOCHS + 1):
+            run_watch(
+                make_watch(epochs=target),
+                store,
+                resume=True,
+                export_dir=tmp_path / "many" / "exports",
+            )
+        assert artifacts(tmp_path / "many", report.series) == artifacts(
+            tmp_path / "one", report.series
+        )

@@ -25,7 +25,7 @@ from repro.pipeline import (
     rows_to_csv_text,
     run_campaign,
 )
-from repro.worldgen import World, WorldConfig
+from repro.worldgen import ChurnConfig, World, WorldConfig
 
 CONFIG = WorldConfig(
     sites_per_country=50, countries=("BR", "DE", "TH", "US")
@@ -175,6 +175,12 @@ class TestSpecCountries:
     def test_repeated_country_is_rejected(self) -> None:
         with pytest.raises(PipelineError, match="repeated: US"):
             CampaignSpec(config=CONFIG, countries=("US", "TH", "US"))
+
+    def test_churn_country_outside_the_config_is_rejected(self) -> None:
+        # Every recipe of the chain is checked, not only the first.
+        chain = (ChurnConfig(), ChurnConfig(churn_countries=("FR", "TH")))
+        with pytest.raises(PipelineError, match="churn countries.*: FR"):
+            CampaignSpec(config=CONFIG, churn=chain)
 
 
 class TestStitchSpans:

@@ -40,6 +40,10 @@ class TestWatchSpec:
         with pytest.raises(PipelineError, match="deadline"):
             watch_spec(epoch_deadline=0.0)
 
+    def test_rejects_churn_country_outside_the_config(self) -> None:
+        with pytest.raises(PipelineError, match="churn countries.*: XX"):
+            watch_spec(churn=ChurnConfig(churn_countries=("TH", "XX")))
+
     def test_epoch_zero_is_the_base_spec(self) -> None:
         assert watch_spec().epoch_spec(0) == SPEC
 

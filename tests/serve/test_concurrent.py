@@ -122,38 +122,41 @@ class TestTornReads:
         failures: list[str] = []
         stop = threading.Event()
 
+        def observe() -> None:
+            response = api.handle(f"/campaigns/{campaign}")
+            if response.status == 404:
+                return  # manifest not yet written
+            if response.status != 200:
+                failures.append(
+                    f"status {response.status}: {response.body!r}"
+                )
+                return
+            payload = json.loads(response.body)
+            # internal consistency: measured + pending covers the
+            # full country set, and every measured country has a
+            # row in every layer table — a torn summary would
+            # break one of these
+            if sorted(
+                payload["countries"] + payload["missing"]
+            ) != ["BR", "TH", "US"]:
+                failures.append(
+                    f"inconsistent snapshot: {payload['countries']}"
+                    f" + {payload['missing']}"
+                )
+            for layer, table in payload["layers"].items():
+                if set(table["insularity"]) != set(
+                    payload["countries"]
+                ):
+                    failures.append(
+                        f"torn {layer} table: "
+                        f"{sorted(table['insularity'])} vs "
+                        f"{payload['countries']}"
+                    )
+            observations.append(payload)
+
         def reader():
             while not stop.is_set():
-                response = api.handle(f"/campaigns/{campaign}")
-                if response.status == 404:
-                    continue  # manifest not yet written
-                if response.status != 200:
-                    failures.append(
-                        f"status {response.status}: {response.body!r}"
-                    )
-                    continue
-                payload = json.loads(response.body)
-                # internal consistency: measured + pending covers the
-                # full country set, and every measured country has a
-                # row in every layer table — a torn summary would
-                # break one of these
-                if sorted(
-                    payload["countries"] + payload["missing"]
-                ) != ["BR", "TH", "US"]:
-                    failures.append(
-                        f"inconsistent snapshot: {payload['countries']}"
-                        f" + {payload['missing']}"
-                    )
-                for layer, table in payload["layers"].items():
-                    if set(table["insularity"]) != set(
-                        payload["countries"]
-                    ):
-                        failures.append(
-                            f"torn {layer} table: "
-                            f"{sorted(table['insularity'])} vs "
-                            f"{payload['countries']}"
-                        )
-                observations.append(payload)
+                observe()
 
         thread = threading.Thread(target=reader)
         thread.start()
@@ -162,6 +165,9 @@ class TestTornReads:
         finally:
             stop.set()
             thread.join()
+        # The reader's last poll can start before the final checkpoint
+        # lands; one more observation sees the finished campaign.
+        observe()
         assert not failures
         # countries monotonically grow across observations
         previous: list[str] = []

@@ -481,6 +481,50 @@ class TestCampaignStoreCli:
             )
 
 
+class TestUnknownChurnCountry:
+    """A churn country outside ``--countries`` fails before any epoch
+    is measured: the store gets no manifest and no series ledger."""
+
+    @staticmethod
+    def assert_store_untouched(store) -> None:
+        assert not list(store.glob("campaigns/*.json"))
+        assert not list(store.glob("series/*.json"))
+
+    def test_watch_rejects_it_up_front(self, tmp_path) -> None:
+        from repro.errors import PipelineError
+
+        store = tmp_path / "store"
+        with pytest.raises(PipelineError, match="churn countries.*: XX"):
+            main(
+                [
+                    "watch",
+                    "--store", str(store),
+                    "--countries", "TH", "US",
+                    "--sites", "50",
+                    "--churn-countries", "XX",
+                    "--epochs", "3",
+                ]
+            )
+        self.assert_store_untouched(store)
+
+    def test_evolved_measure_rejects_it_up_front(self, tmp_path) -> None:
+        from repro.errors import PipelineError
+
+        store = tmp_path / "store"
+        with pytest.raises(PipelineError, match="churn countries.*: XX"):
+            main(
+                [
+                    "measure",
+                    "--store", str(store),
+                    "--countries", "TH", "US",
+                    "--sites", "50",
+                    "--evolve",
+                    "--churn-countries", "XX",
+                ]
+            )
+        self.assert_store_untouched(store)
+
+
 class TestWorkerValidation:
     def test_workers_zero_rejected(self, capsys) -> None:
         with pytest.raises(SystemExit) as excinfo:

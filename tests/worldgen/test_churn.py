@@ -138,3 +138,70 @@ class TestEvolve:
         a = evolve(old_world)
         b = evolve(old_world)
         assert a.toplists["BR"].domains == b.toplists["BR"].domains
+
+
+class TestTwoStageBuild:
+    """Only the measured world of a churn chain builds its substrate."""
+
+    CONFIG = WorldConfig(
+        sites_per_country=50, countries=("BR", "RU", "TH", "US")
+    )
+    #: The unrestricted middle step drifts targets, so the carried
+    #: records of later steps name tail providers no draw created.
+    CHAIN = (
+        ChurnConfig(churn_countries=("TH",)),
+        ChurnConfig(),
+        ChurnConfig(churn_countries=("TH",)),
+    )
+
+    def test_substrate_builds_on_first_read(self) -> None:
+        world = World(self.CONFIG)
+        assert World._SUBSTRATE.isdisjoint(vars(world))
+        assert world.namespace.zone_for(world.toplists["TH"].domains[0])
+        assert World._SUBSTRATE <= set(vars(world))
+        with pytest.raises(AttributeError):
+            world.not_an_attribute
+
+    def test_forced_intermediates_measure_like_the_lazy_chain(self) -> None:
+        from repro.pipeline import CampaignSpec, rows_to_csv_text, run_campaign
+        from repro.worldgen.slices import world_slice_digest
+
+        eager = World(self.CONFIG).materialize()
+        unrevived = 0
+        for churn in self.CHAIN:
+            eager = evolve(eager, churn)
+            unrevived += sum(
+                eager.market.get(record.hosting) is None
+                for record in eager.sites.values()
+            )
+            eager.materialize()
+        assert unrevived
+
+        spec = CampaignSpec(config=self.CONFIG, churn=self.CHAIN)
+        lazy = spec.build_world()
+        for cc in self.CONFIG.countries:
+            assert world_slice_digest(
+                eager, cc, spec.vantage_continent
+            ) == world_slice_digest(lazy, cc, spec.vantage_continent)
+        assert rows_to_csv_text(
+            run_campaign(spec, world=eager).dataset
+        ) == rows_to_csv_text(run_campaign(spec, world=lazy).dataset)
+
+    def test_a_chain_materializes_one_substrate(self, monkeypatch) -> None:
+        from repro.pipeline import CampaignSpec
+
+        built: list[str] = []
+        materialize = World._materialize_infrastructure
+
+        def counting(world: World) -> None:
+            built.append(world.config.snapshot)
+            materialize(world)
+
+        monkeypatch.setattr(World, "_materialize_infrastructure", counting)
+        churn = ChurnConfig(churn_countries=("TH",))
+        world = CampaignSpec(
+            config=self.CONFIG, churn=(churn, churn, churn)
+        ).build_world()
+        assert built == [world.config.snapshot]
+        assert world.namespace is world.namespace
+        assert len(built) == 1
