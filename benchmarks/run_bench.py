@@ -39,7 +39,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from repro.analysis.traceprof import amdahl_decomposition  # noqa: E402
+from repro.analysis.traceprof import analyze_trace  # noqa: E402
 from repro.core import (  # noqa: E402
     ProviderDistribution,
     centralization_score,
@@ -200,48 +200,33 @@ def _profile_campaign(spec: CampaignSpec, workers: int) -> dict:
 
     Runs *outside* the timed region (after the bare readings are
     taken), so profiling never perturbs the headline numbers.  The
-    breakdown comes from the campaign profiler's own metric families,
-    the same payload ``repro measure --profile-out`` writes.
+    breakdown is ``repro trace summarize`` over the run's lifecycle
+    spans, which reports the same figures as ``repro measure
+    --profile-out``.
     """
     result = run_campaign(
         dataclasses.replace(spec, instrument=True), workers=workers
     )
-    metrics = result.profile["metrics"]  # type: ignore[index]
-    amdahl = (
-        amdahl_decomposition(list(result.profile_spans))
-        if result.profile_spans
-        else None
-    )
-
-    def series(name: str, label: str) -> dict[str, float]:
-        return {
-            sample["labels"][label]: sample["value"]
-            for sample in metrics[name]["samples"]
-        }
-
-    wall = metrics["repro_campaign_wall_seconds"]["samples"][0]["value"]
-    busy = series("repro_worker_busy_seconds", "worker")
-    idle = series("repro_worker_idle_seconds", "worker")
-    spawn = series("repro_worker_spawn_seconds", "worker")
-    tasks = series("repro_worker_tasks_total", "worker")
+    profile = analyze_trace(list(result.profile_spans or ()))
+    wall = profile.wall_seconds
     return {
         "wall_seconds": wall,
         # The empirical Amdahl split from the lifecycle spans: how
         # much of the campaign ran >= 2-wide, and the speedup ceiling
         # that serial fraction implies per worker count.
-        "amdahl": amdahl,
-        "phases": series("repro_phase_seconds", "phase"),
+        "amdahl": profile.amdahl,
+        "phases": profile.phases,
         "workers": {
             label: {
-                "tasks": int(tasks.get(label, 0)),
-                "busy_seconds": busy[label],
-                "idle_seconds": idle.get(label, 0.0),
-                "spawn_seconds": spawn.get(label, 0.0),
-                "busy_pct": round(100.0 * busy[label] / wall, 1)
+                "tasks": entry["tasks"],
+                "busy_seconds": entry["busy"],
+                "idle_seconds": entry["idle"],
+                "spawn_seconds": entry["spawn"],
+                "busy_pct": round(100.0 * entry["busy_frac"], 1)
                 if wall
                 else None,
             }
-            for label in sorted(busy)
+            for label, entry in sorted(profile.workers.items())
         },
     }
 
@@ -261,9 +246,14 @@ def bench_parallel(
     entry (``run_campaign(workers=1)``) is the like-for-like serial
     baseline every ``speedup_vs_serial`` is computed against.
 
+    The worker counts alternate within each of ``repeat`` rounds and
+    each keeps its best reading, as :func:`bench_overhead` does for
+    its two variants: a noisy window then lands on every side instead
+    of deciding the ratio.  Every reading is kept in ``readings``.
+
     Returns the campaign entries by worker count.  With ``profile``,
-    each worker count gets one extra *instrumented* run after its
-    timing passes, attaching per-phase seconds, a worker utilization
+    each worker count gets one extra *instrumented* run after the
+    timing rounds, attaching per-phase seconds, a worker utilization
     breakdown, and the empirical Amdahl bound to the entry.
     """
     spec = CampaignSpec(
@@ -275,18 +265,23 @@ def bench_parallel(
         retries=3,
         instrument=False,
     )
+    readings: dict[int, list[float]] = {w: [] for w in workers_counts}
+    sites: dict[int, int] = {}
+    for _ in range(repeat):
+        for workers in workers_counts:
+            start = time.perf_counter()
+            result = run_campaign(spec, workers=workers)
+            readings[workers].append(time.perf_counter() - start)
+            sites[workers] = len(result.dataset)
     out: dict = {}
     serial_seconds: float | None = None
     for workers in workers_counts:
-        seconds, result = _best_of(
-            repeat, lambda: run_campaign(spec, workers=workers)
-        )
+        seconds = min(readings[workers])
         entry = {
             "run_seconds": round(seconds, 4),
-            "sites": len(result.dataset),  # type: ignore[union-attr]
-            "sites_per_second": round(
-                len(result.dataset) / seconds, 1  # type: ignore[union-attr]
-            )
+            "readings": [round(s, 4) for s in readings[workers]],
+            "sites": sites[workers],
+            "sites_per_second": round(sites[workers] / seconds, 1)
             if seconds
             else None,
         }
@@ -737,8 +732,17 @@ def main(argv: list[str] | None = None) -> int:
             ),
         },
     }
+    # A gated run takes each side's best of at least five alternating
+    # rounds, so one noisy window cannot decide the speedup gate.
+    campaign_repeat = (
+        max(repeat, 5) if args.min_speedup is not None else repeat
+    )
     campaigns = bench_parallel(
-        sites, countries, repeat, workers_counts, profile=args.profile
+        sites,
+        countries,
+        campaign_repeat,
+        workers_counts,
+        profile=args.profile,
     )
     report["results"]["parallel_campaign"] = campaigns
     if overhead_pct is not None:

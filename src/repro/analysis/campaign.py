@@ -21,6 +21,7 @@ from collections import defaultdict
 from pathlib import Path
 
 from ..errors import PipelineError
+from ..obs.metrics import metric_total
 
 __all__ = ["load_metrics", "render_campaign_report"]
 
@@ -48,14 +49,6 @@ def _samples(metrics: dict, name: str) -> list[tuple[dict, object]]:
     return out
 
 
-def _value_total(metrics: dict, name: str, **match: str) -> float:
-    total = 0.0
-    for labels, sample in _samples(metrics, name):
-        if all(labels.get(k) == v for k, v in match.items()):
-            total += float(sample.get("value", 0))
-    return total
-
-
 def _fmt_count(value: float) -> str:
     if float(value).is_integer():
         return str(int(value))
@@ -63,13 +56,13 @@ def _fmt_count(value: float) -> str:
 
 
 def _overview_lines(metrics: dict) -> list[str]:
-    ok = _value_total(metrics, "repro_rows_total", status="ok")
-    failed = _value_total(metrics, "repro_rows_total", status="failed")
+    ok = metric_total(metrics, "repro_rows_total", status="ok")
+    failed = metric_total(metrics, "repro_rows_total", status="failed")
     total = ok + failed
-    degraded = _value_total(metrics, "repro_degraded_rows_total")
-    attempts = _value_total(metrics, "repro_attempts_total")
-    retries = _value_total(metrics, "repro_retries_total")
-    backoff = _value_total(metrics, "repro_backoff_seconds_total")
+    degraded = metric_total(metrics, "repro_degraded_rows_total")
+    attempts = metric_total(metrics, "repro_attempts_total")
+    retries = metric_total(metrics, "repro_retries_total")
+    backoff = metric_total(metrics, "repro_backoff_seconds_total")
     lines = [
         f"rows:      {_fmt_count(total)} total, {_fmt_count(ok)} ok, "
         f"{_fmt_count(failed)} failed, {_fmt_count(degraded)} degraded",
@@ -87,23 +80,23 @@ def _overview_lines(metrics: dict) -> list[str]:
 
 
 def _cache_lines(metrics: dict) -> list[str]:
-    queries = _value_total(metrics, "repro_dns_queries_total")
-    pos = _value_total(metrics, "repro_dns_cache_hits_total", kind="positive")
-    neg = _value_total(metrics, "repro_dns_cache_hits_total", kind="negative")
-    uncached = _value_total(metrics, "repro_dns_uncached_total")
+    queries = metric_total(metrics, "repro_dns_queries_total")
+    pos = metric_total(metrics, "repro_dns_cache_hits_total", kind="positive")
+    neg = metric_total(metrics, "repro_dns_cache_hits_total", kind="negative")
+    uncached = metric_total(metrics, "repro_dns_uncached_total")
     ratio = 100.0 * (pos + neg) / queries if queries else 0.0
     lines = [
         f"dns:       {_fmt_count(queries)} queries, "
         f"{_fmt_count(pos)} cache hits + {_fmt_count(neg)} negative, "
         f"{_fmt_count(uncached)} uncached  (hit ratio {ratio:.1f}%)",
     ]
-    ns_hit = _value_total(
+    ns_hit = metric_total(
         metrics, "repro_ns_cache_events_total", event="hit"
     )
-    ns_neg = _value_total(
+    ns_neg = metric_total(
         metrics, "repro_ns_cache_events_total", event="negative_hit"
     )
-    ns_miss = _value_total(
+    ns_miss = metric_total(
         metrics, "repro_ns_cache_events_total", event="miss"
     )
     ns_total = ns_hit + ns_neg + ns_miss
@@ -181,7 +174,7 @@ def _nameserver_lines(metrics: dict, top: int) -> list[str]:
         lines.append(
             f"  {ns:<28} {_fmt_count(sum(classes.values())):>5}  ({detail})"
         )
-    skips = _value_total(metrics, "repro_breaker_skips_total")
+    skips = metric_total(metrics, "repro_breaker_skips_total")
     if skips:
         lines.append(f"  breaker skips: {_fmt_count(skips)}")
     return lines
@@ -197,7 +190,7 @@ def _breaker_lines(metrics: dict) -> list[str]:
         for labels, s in transitions
     )
     lines = [f"breaker:   {detail}"]
-    open_now = _value_total(metrics, "repro_breaker_open_circuits")
+    open_now = metric_total(metrics, "repro_breaker_open_circuits")
     if open_now:
         lines.append(
             f"           {_fmt_count(open_now)} circuits still "
@@ -239,9 +232,9 @@ def _failure_lines(metrics: dict, top: int) -> list[str]:
 
 def _store_lines(store_metrics: dict) -> list[str]:
     """Summarize the campaign-store hit/miss/skip accounting."""
-    hits = _value_total(store_metrics, "repro_store_shard_hits_total")
-    misses = _value_total(store_metrics, "repro_store_shard_misses_total")
-    skipped = _value_total(
+    hits = metric_total(store_metrics, "repro_store_shard_hits_total")
+    misses = metric_total(store_metrics, "repro_store_shard_misses_total")
+    skipped = metric_total(
         store_metrics, "repro_store_resume_skipped_total"
     )
     lines = [
@@ -275,9 +268,9 @@ def _supervisor_lines(store_metrics: dict) -> list[str]:
     artifact only when events actually occurred, so this section
     appears exactly when a run needed supervision.
     """
-    retries = _value_total(store_metrics, "repro_shard_retries_total")
-    timeouts = _value_total(store_metrics, "repro_shard_timeouts_total")
-    quarantined = _value_total(
+    retries = metric_total(store_metrics, "repro_shard_retries_total")
+    timeouts = metric_total(store_metrics, "repro_shard_timeouts_total")
+    quarantined = metric_total(
         store_metrics, "repro_countries_quarantined_total"
     )
     if not (retries or timeouts or quarantined):

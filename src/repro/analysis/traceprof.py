@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..obs.profile import PROFILE_SPAN_NAMES
+from ..obs.profile import PROFILE_SPAN_NAMES, lifecycle_accounting
 
 __all__ = [
     "TraceProfile",
@@ -81,83 +81,13 @@ def _campaign_root(profile: list[dict]) -> dict | None:
 def worker_timelines(spans: list[dict]) -> dict[str, dict]:
     """Per-worker utilization: busy/idle/spawn seconds and segments.
 
-    Returns ``{worker label: {"busy", "idle", "spawn", "world_build",
-    "tasks", "busy_frac", "idle_frac", "segments"}}`` where
-    ``segments`` is the worker's task intervals as ``(start, end,
-    country)`` tuples in start order.  Busy time follows the
-    profiler's accounting: a worker is busy while it holds a
-    dispatched country (round-trip, IPC included); the serial path's
-    inline computes, the parent World build, and the merge count as
-    the ``main`` track's busy time.  Idle is everything else between
-    spawn and campaign end, so ``spawn + busy + idle`` equals the
-    campaign wall clock for every worker.  Empty when the trace has
-    no lifecycle spans.
+    The ``workers`` part of
+    :func:`~repro.obs.profile.lifecycle_accounting`, which also renders
+    ``--profile-out``, so both artifacts report the same figures.
+    Empty when the trace has no lifecycle spans.
     """
-    _pipeline, profile = _split(spans)
-    root = _campaign_root(profile)
-    if root is None:
-        return {}
-    wall = root["logical_seconds"]
-    root_id = root["span_id"]
-    workers: dict[str, dict] = {}
-
-    def track(label: str) -> dict:
-        return workers.setdefault(
-            label,
-            {
-                "busy": 0.0,
-                "idle": 0.0,
-                "spawn": 0.0,
-                "world_build": 0.0,
-                "tasks": 0,
-                "busy_frac": 0.0,
-                "idle_frac": 0.0,
-                "segments": [],
-            },
-        )
-
-    for span in profile:
-        name = span["name"]
-        seconds = span["logical_seconds"]
-        label = span["attrs"].get("worker")
-        if name == "dispatch":
-            entry = track(label)
-            entry["busy"] += seconds
-            entry["tasks"] += 1
-            entry["segments"].append(
-                (
-                    span["start_logical"],
-                    _end(span),
-                    span["attrs"].get("country", "?"),
-                )
-            )
-        elif name == "compute" and span["parent_id"] == root_id:
-            entry = track(label)
-            entry["busy"] += seconds
-            entry["tasks"] += 1
-            entry["segments"].append(
-                (
-                    span["start_logical"],
-                    _end(span),
-                    span["attrs"].get("country", "?"),
-                )
-            )
-        elif name == "worker-spawn":
-            track(label)["spawn"] += seconds
-        elif name == "world-build":
-            entry = track(label)
-            entry["world_build"] += seconds
-            if span["parent_id"] == root_id and label == "main":
-                entry["busy"] += seconds
-        elif name == "merge":
-            track("main")["busy"] += seconds
-    for entry in workers.values():
-        entry["idle"] = max(wall - entry["spawn"] - entry["busy"], 0.0)
-        if wall > 0:
-            entry["busy_frac"] = entry["busy"] / wall
-            entry["idle_frac"] = entry["idle"] / wall
-        entry["segments"].sort()
-    return workers
+    accounting = lifecycle_accounting(spans)
+    return accounting[1] if accounting is not None else {}
 
 
 def critical_path(spans: list[dict]) -> list[dict]:
@@ -283,8 +213,9 @@ class TraceProfile:
     has_profile: bool
     #: Per-worker utilization (:func:`worker_timelines`).
     workers: dict[str, dict] = field(default_factory=dict)
-    #: Total seconds per lifecycle phase name (overlap-counting
-    #: attribution, not a partition).
+    #: Total seconds per lifecycle phase name plus
+    #: ``dispatch-overhead`` (overlap-counting attribution, not a
+    #: partition; the ``repro_phase_seconds`` figures of the profile).
     phases: dict[str, float] = field(default_factory=dict)
     #: Critical-path segments (:func:`critical_path`).
     critical: list[dict] = field(default_factory=list)
@@ -325,19 +256,16 @@ class TraceProfile:
 def analyze_trace(spans: list[dict]) -> TraceProfile:
     """Profile one loaded trace (``load_trace`` output)."""
     pipeline, profile = _split(spans)
-    root = _campaign_root(profile)
+    accounting = lifecycle_accounting(profile)
+    wall, workers, phases = (
+        accounting if accounting is not None else (0.0, {}, {})
+    )
     stage_seconds: dict[str, float] = {}
     for span in pipeline:
         stage_seconds[span["name"]] = round(
             stage_seconds.get(span["name"], 0.0) + span["logical_seconds"],
             6,
         )
-    phases: dict[str, float] = {}
-    for span in profile:
-        if span["name"] != "campaign":
-            phases[span["name"]] = round(
-                phases.get(span["name"], 0.0) + span["logical_seconds"], 6
-            )
     critical = critical_path(spans)
     critical_phases: dict[str, float] = {}
     for segment in critical:
@@ -346,9 +274,9 @@ def analyze_trace(spans: list[dict]) -> TraceProfile:
             6,
         )
     return TraceProfile(
-        wall_seconds=root["logical_seconds"] if root is not None else 0.0,
-        has_profile=root is not None,
-        workers=worker_timelines(spans),
+        wall_seconds=wall,
+        has_profile=accounting is not None,
+        workers=workers,
         phases=phases,
         critical=critical,
         critical_phases=critical_phases,

@@ -769,6 +769,7 @@ def _resolve_campaign_id(store, prefix: str) -> str:
 def _cmd_measure(args: argparse.Namespace) -> int:
     from .errors import PipelineError
     from .faults import render_failure_report
+    from .obs.metrics import metric_total
     from .pipeline import (
         CampaignHalted,
         CampaignSpec,
@@ -925,39 +926,31 @@ def _cmd_measure(args: argparse.Namespace) -> int:
         result.write_profile(args.profile_out)
         print(f"wrote campaign profile to {args.profile_out}")
     if result.campaign is not None:
-        hits, misses, skipped = (0, 0, 0)
-        if result.store_metrics is not None:
-            metrics = result.store_metrics.get("metrics", {})
-
-            def _total(name: str) -> int:
-                entry = metrics.get(name, {})
-                return int(
-                    sum(s["value"] for s in entry.get("samples", ()))
-                )
-
-            hits = _total("repro_store_shard_hits_total")
-            misses = _total("repro_store_shard_misses_total")
-            skipped = _total("repro_store_resume_skipped_total")
+        hits, misses, skipped = (
+            int(metric_total(result.store_metrics or {}, name))
+            for name in (
+                "repro_store_shard_hits_total",
+                "repro_store_shard_misses_total",
+                "repro_store_resume_skipped_total",
+            )
+        )
         print(
             f"campaign {result.campaign[:16]} stored in {args.store} "
             f"(shard hits {hits}, misses {misses}, "
             f"resume skipped {skipped})"
         )
     if result.supervisor_metrics is not None:
-        sup = result.supervisor_metrics.get("metrics", {})
-
-        def _sup_total(name: str) -> int:
-            entry = sup.get(name, {})
-            return int(
-                sum(s["value"] for s in entry.get("samples", ()))
+        retries, timeouts, quarantined = (
+            int(metric_total(result.supervisor_metrics, name))
+            for name in (
+                "repro_shard_retries_total",
+                "repro_shard_timeouts_total",
+                "repro_countries_quarantined_total",
             )
-
+        )
         print(
-            f"supervision: "
-            f"{_sup_total('repro_shard_retries_total')} shard retries, "
-            f"{_sup_total('repro_shard_timeouts_total')} timeouts, "
-            f"{_sup_total('repro_countries_quarantined_total')} "
-            f"quarantined"
+            f"supervision: {retries} shard retries, {timeouts} timeouts, "
+            f"{quarantined} quarantined"
         )
     if result.quarantined:
         print(

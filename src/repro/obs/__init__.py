@@ -27,12 +27,13 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
     merge_metrics_payloads,
+    metric_total,
     render_metrics_json,
 )
 from .profile import (
     PROFILE_SPAN_NAMES,
     CampaignProfiler,
-    render_profile_json,
+    lifecycle_accounting,
 )
 from .spans import (
     TRACE_SCHEMA,
@@ -57,10 +58,11 @@ __all__ = [
     "METRICS_SCHEMA",
     "DEFAULT_SECONDS_BUCKETS",
     "merge_metrics_payloads",
+    "metric_total",
     "render_metrics_json",
     "CampaignProfiler",
     "PROFILE_SPAN_NAMES",
-    "render_profile_json",
+    "lifecycle_accounting",
     "Span",
     "Tracer",
     "TRACE_SCHEMA",

@@ -36,9 +36,6 @@ __all__ = [
     "Instrumentation",
     "NullInstrumentation",
     "NULL_OBS",
-    "StoreTelemetry",
-    "SupervisorTelemetry",
-    "WatchTelemetry",
 ]
 
 
@@ -437,219 +434,3 @@ class NullInstrumentation:
 
 #: Shared no-op instance used wherever no instrumentation was given.
 NULL_OBS = NullInstrumentation()
-
-
-class StoreTelemetry:
-    """Hit/miss/skip accounting for the campaign store.
-
-    Lives in its *own* :class:`~repro.obs.metrics.MetricsRegistry`,
-    never merged into a campaign's measurement metrics: a resumed run
-    must emit a ``--metrics-out`` file byte-identical to an
-    uninterrupted run, and store hit counts differ between the two by
-    design.  The payload is written as a separate per-campaign
-    artifact and surfaced by ``repro report-campaign``.
-    """
-
-    def __init__(self) -> None:
-        self.registry = MetricsRegistry()
-        self._hits = self.registry.counter(
-            "repro_store_shard_hits_total",
-            "Countries whose stored shard was reused",
-            labelnames=("country",),
-        )
-        self._misses = self.registry.counter(
-            "repro_store_shard_misses_total",
-            "Countries measured because no stored shard matched",
-            labelnames=("country",),
-        )
-        self._skipped = self.registry.counter(
-            "repro_store_resume_skipped_total",
-            "Countries skipped by --resume (shard already present)",
-            labelnames=("country",),
-        )
-
-    def shard_hit(self, country: str) -> None:
-        """A stored shard satisfied this country."""
-        self._hits.inc(country=country)
-
-    def shard_miss(self, country: str) -> None:
-        """No stored shard matched; the country was measured."""
-        self._misses.inc(country=country)
-
-    def resume_skipped(self, country: str) -> None:
-        """--resume skipped this country (hit during the same campaign)."""
-        self._skipped.inc(country=country)
-
-    def counts(self) -> tuple[int, int, int]:
-        """Total ``(hits, misses, resume_skipped)`` across countries."""
-
-        def total(metric) -> int:
-            return int(sum(value for _, value in metric.samples()))
-
-        return (
-            total(self._hits),
-            total(self._misses),
-            total(self._skipped),
-        )
-
-    def to_dict(self) -> dict:
-        """The store-metrics payload (``MetricsRegistry.to_dict``)."""
-        return self.registry.to_dict()
-
-
-class SupervisorTelemetry:
-    """Shard-supervision accounting: retries, timeouts, quarantines.
-
-    Like :class:`StoreTelemetry`, this lives in its own registry and
-    never merges into a campaign's measurement metrics — a campaign
-    that survived worker crashes must still export ``--metrics-out``
-    byte-identical to one that never saw them.  When a store is
-    attached the payload is folded into the per-campaign store-metrics
-    artifact, which ``repro report-campaign --store-metrics``
-    surfaces.
-    """
-
-    def __init__(self) -> None:
-        self.registry = MetricsRegistry()
-        self._retries = self.registry.counter(
-            "repro_shard_retries_total",
-            "Country shards resubmitted after a worker crash, error, "
-            "or deadline",
-            labelnames=("country", "reason"),
-        )
-        self._timeouts = self.registry.counter(
-            "repro_shard_timeouts_total",
-            "Country shards killed for exceeding the wall-clock "
-            "country deadline",
-            labelnames=("country",),
-        )
-        self._quarantined = self.registry.counter(
-            "repro_countries_quarantined_total",
-            "Countries tombstoned after exhausting the shard retry "
-            "budget",
-            labelnames=("country", "reason"),
-        )
-        self._events = 0
-
-    def shard_retry(self, country: str, reason: str) -> None:
-        """A country is being resubmitted to a fresh worker."""
-        self._retries.inc(country=country, reason=reason)
-        self._events += 1
-
-    def shard_timeout(self, country: str) -> None:
-        """A country blew its wall-clock deadline; worker killed."""
-        self._timeouts.inc(country=country)
-        self._events += 1
-
-    def quarantined(self, country: str, reason: str) -> None:
-        """A country was tombstoned after exhausting its retries."""
-        self._quarantined.inc(country=country, reason=reason)
-        self._events += 1
-
-    def empty(self) -> bool:
-        """True when supervision never had to intervene."""
-        return self._events == 0
-
-    def counts(self) -> tuple[int, int, int]:
-        """Total ``(retries, timeouts, quarantined)`` across countries."""
-
-        def total(metric) -> int:
-            return int(sum(value for _, value in metric.samples()))
-
-        return (
-            total(self._retries),
-            total(self._timeouts),
-            total(self._quarantined),
-        )
-
-    def to_dict(self) -> dict:
-        """The supervisor payload (``MetricsRegistry.to_dict``)."""
-        return self.registry.to_dict()
-
-
-class WatchTelemetry:
-    """Longitudinal-watch accounting: epochs, GC, quota, signals.
-
-    The ``repro_watch_*`` metric families.  Like the other two
-    operational telemetry classes, this lives in its own registry and
-    never merges into measurement metrics: watch telemetry records
-    *how the driver fared* (sessions, kills, sweeps), which differs
-    between a battered and a clean run by design, while the ledger and
-    per-epoch artifacts must not.  Each session's payload is folded
-    into the series' ``.watch.json`` artifact
-    (:meth:`repro.store.series.SeriesLedger.merge_watch_metrics`), so
-    counters accumulate across resumes.
-    """
-
-    def __init__(self) -> None:
-        self.registry = MetricsRegistry()
-        self._sessions = self.registry.counter(
-            "repro_watch_sessions_total",
-            "Watch driver invocations against this series",
-            labelnames=("mode",),
-        )
-        self._epochs = self.registry.counter(
-            "repro_watch_epochs_total",
-            "Epochs appended to the series ledger, by final status",
-            labelnames=("status",),
-        )
-        self._signals = self.registry.counter(
-            "repro_watch_signals_total",
-            "Graceful-shutdown signals that stopped a watch session",
-            labelnames=("signal",),
-        )
-        self._deadlines = self.registry.counter(
-            "repro_watch_deadlines_blown_total",
-            "Epochs tombstoned as degraded for blowing the per-epoch "
-            "wall-clock deadline",
-        )
-        self._gc_epochs = self.registry.counter(
-            "repro_watch_gc_retired_epochs_total",
-            "Epochs retired by the store-quota retention policy",
-        )
-        self._gc_objects = self.registry.counter(
-            "repro_watch_gc_objects_swept_total",
-            "Store objects swept by between-epoch quota GC",
-        )
-        self._gc_bytes = self.registry.counter(
-            "repro_watch_gc_bytes_swept_total",
-            "Store bytes reclaimed by between-epoch quota GC",
-        )
-        self._quota_unmet = self.registry.counter(
-            "repro_watch_quota_unmet_total",
-            "Epochs whose quota could not be met even after retiring "
-            "every retirable epoch (recorded, not fatal)",
-        )
-
-    def session(self, mode: str) -> None:
-        """One driver invocation (``fresh`` or ``resume``)."""
-        self._sessions.inc(mode=mode)
-
-    def epoch(self, status: str) -> None:
-        """One epoch entry landed in the ledger."""
-        self._epochs.inc(status=status)
-
-    def signal_stop(self, name: str) -> None:
-        """A SIGTERM/SIGINT checkpointed and stopped the session."""
-        self._signals.inc(signal=name)
-
-    def deadline_blown(self) -> None:
-        """An epoch exceeded its wall-clock budget and was tombstoned."""
-        self._deadlines.inc()
-
-    def gc_sweep(self, retired: int, objects: int, bytes: int) -> None:
-        """One between-epoch quota GC pass."""
-        if retired:
-            self._gc_epochs.inc(retired)
-        if objects:
-            self._gc_objects.inc(objects)
-        if bytes:
-            self._gc_bytes.inc(bytes)
-
-    def quota_unmet(self) -> None:
-        """Quota could not be met this epoch; recorded and skipped."""
-        self._quota_unmet.inc()
-
-    def to_dict(self) -> dict:
-        """The watch payload (``MetricsRegistry.to_dict``)."""
-        return self.registry.to_dict()

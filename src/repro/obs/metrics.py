@@ -30,6 +30,7 @@ __all__ = [
     "DEFAULT_SECONDS_BUCKETS",
     "METRICS_SCHEMA",
     "merge_metrics_payloads",
+    "metric_total",
     "render_metrics_json",
 ]
 
@@ -516,6 +517,22 @@ def merge_metrics_payloads(payloads: Sequence[dict]) -> dict:
         entry["samples"] = samples
         out["metrics"][name] = entry
     return out
+
+
+def metric_total(payload: dict, name: str, **labels: str) -> float:
+    """Sum a counter or gauge family's samples in a metrics payload.
+
+    ``labels`` keeps only the samples carrying those label values.  An
+    absent family sums to 0, so callers can read any artifact —
+    including one written before the family existed.
+    """
+    entry = payload.get("metrics", {}).get(name, {})
+    total = 0.0
+    for sample in entry.get("samples", ()):
+        sample_labels = sample.get("labels", {})
+        if all(sample_labels.get(k) == v for k, v in labels.items()):
+            total += float(sample.get("value", 0))
+    return total
 
 
 def _prom_labels(labels: Mapping[str, str]) -> str:

@@ -18,10 +18,11 @@ the profiler turns them into
   the trace alone (:mod:`repro.analysis.traceprof`);
 * **metric families** — worker busy/idle/spawn seconds, per-worker
   World-build seconds, queue-depth distribution, and phase-attributed
-  totals, kept in the profiler's *own*
-  :class:`~repro.obs.metrics.MetricsRegistry` (never merged into a
-  campaign's measurement metrics, which must stay byte-identical
-  across worker counts and wall-clock noise).
+  totals (:func:`lifecycle_accounting` over those spans, the same
+  function ``repro trace summarize`` reads a trace with), kept in the
+  profiler's *own* :class:`~repro.obs.metrics.MetricsRegistry` (never
+  merged into a campaign's measurement metrics, which must stay
+  byte-identical across worker counts and wall-clock noise).
 
 The span taxonomy (all children of one ``campaign`` root)::
 
@@ -48,15 +49,15 @@ uninstrumented runs stay byte-identical.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 
-from .metrics import MetricsRegistry, render_metrics_json
+from .metrics import MetricsRegistry
 
 __all__ = [
     "CampaignProfiler",
     "PROFILE_SPAN_NAMES",
     "QUEUE_DEPTH_BUCKETS",
-    "render_profile_json",
+    "lifecycle_accounting",
 ]
 
 #: Every span name the profiler emits.  Disjoint from the pipeline's
@@ -80,14 +81,103 @@ PROFILE_SPAN_NAMES = frozenset(
 QUEUE_DEPTH_BUCKETS: tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
 
-def render_profile_json(payload: dict) -> str:
-    """Canonical JSON rendering of a profile payload.
+def lifecycle_accounting(
+    spans: Iterable[dict],
+) -> tuple[float, dict[str, dict], dict[str, float]] | None:
+    """Worker and phase accounting of one campaign's lifecycle spans.
 
-    The profile artifact reuses the metrics export format, so this is
-    the same renderer — named separately to keep call sites honest
-    about which artifact they are writing.
+    The one definition behind both ``--profile-out`` and ``repro trace
+    summarize``.  Returns ``(wall, workers, phases)``, or None when the
+    spans hold no ``campaign`` root; pipeline spans (names outside
+    :data:`PROFILE_SPAN_NAMES`) are ignored.
+
+    ``workers`` maps a worker label to its ``busy``, ``idle``,
+    ``spawn`` and ``world_build`` seconds, its ``tasks`` count, the
+    ``busy_frac``/``idle_frac`` shares of the wall clock, and
+    ``segments``, its task intervals as ``(start, end, country)`` in
+    start order.  The busy rule: a worker is busy while it holds a
+    dispatched country (the round trip, IPC included), and every span
+    the parent runs directly under the campaign root — inline
+    ``compute``, its ``world-build``, the pre-fork ``zone-warm`` and
+    the ``merge`` — is ``main``'s busy time.  Idle is the rest of the
+    wall clock after spawn, so ``spawn + busy + idle`` equals it.
+
+    ``phases`` sums seconds per span name (overlapping spans each
+    count: attribution, not a partition) plus ``dispatch-overhead``,
+    the dispatch round trips minus the worker-side compute and World
+    build nested in them.  Every figure is rounded to microseconds.
     """
-    return render_metrics_json(payload)
+    lifecycle = [s for s in spans if s["name"] in PROFILE_SPAN_NAMES]
+    root = next((s for s in lifecycle if s["name"] == "campaign"), None)
+    if root is None:
+        return None
+    wall = root["logical_seconds"]
+    workers: dict[str, dict] = {}
+    phases: dict[str, float] = {}
+    dispatches: dict[int, float] = {}
+    #: dispatch span id -> worker-side seconds nested under it.
+    nested: dict[int, float] = {}
+
+    def track(label: str) -> dict:
+        return workers.setdefault(
+            label,
+            {
+                "busy": 0.0,
+                "idle": 0.0,
+                "spawn": 0.0,
+                "world_build": 0.0,
+                "tasks": 0,
+                "busy_frac": 0.0,
+                "idle_frac": 0.0,
+                "segments": [],
+            },
+        )
+
+    for span in lifecycle:
+        name = span["name"]
+        if name == "campaign":
+            continue
+        seconds = span["logical_seconds"]
+        phases[name] = phases.get(name, 0.0) + seconds
+        on_root = span["parent_id"] == root["span_id"]
+        label = span["attrs"].get("worker", "main")
+        if name == "dispatch" or (name == "compute" and on_root):
+            entry = track(label)
+            entry["busy"] += seconds
+            entry["tasks"] += 1
+            start = span["start_logical"]
+            entry["segments"].append(
+                (start, start + seconds, span["attrs"].get("country", "?"))
+            )
+        elif name == "worker-spawn":
+            track(label)["spawn"] += seconds
+        elif on_root and name in ("world-build", "zone-warm", "merge"):
+            track(label)["busy"] += seconds
+        if name == "world-build":
+            track(label)["world_build"] += seconds
+        if name == "dispatch":
+            dispatches[span["span_id"]] = seconds
+        elif name in ("compute", "world-build") and not on_root:
+            parent = span["parent_id"]
+            nested[parent] = nested.get(parent, 0.0) + seconds
+    phases["dispatch-overhead"] = sum(
+        max(seconds - nested.get(span_id, 0.0), 0.0)
+        for span_id, seconds in dispatches.items()
+    )
+    for entry in workers.values():
+        for key in ("busy", "spawn", "world_build"):
+            entry[key] = round(entry[key], 6)
+        idle = wall - entry["spawn"] - entry["busy"]
+        entry["idle"] = round(max(idle, 0.0), 6)
+        if wall > 0:
+            entry["busy_frac"] = entry["busy"] / wall
+            entry["idle_frac"] = entry["idle"] / wall
+        entry["segments"].sort()
+    return (
+        wall,
+        workers,
+        {name: round(seconds, 6) for name, seconds in phases.items()},
+    )
 
 
 class CampaignProfiler:
@@ -300,7 +390,7 @@ class CampaignProfiler:
             )
             end = max(end, self._merge[1])
         spans = self._build_spans(end)
-        payload = self._build_metrics(spans, end - self._t0)
+        payload = self._build_metrics(spans)
         self._finished = (spans, payload)
         return self._finished
 
@@ -371,105 +461,42 @@ class CampaignProfiler:
             )
         return spans
 
-    def _build_metrics(self, spans: list[dict], wall: float) -> dict:
+    def _build_metrics(self, spans: list[dict]) -> dict:
+        accounting = lifecycle_accounting(spans)
+        assert accounting is not None  # _build_spans always emits the root
+        wall, workers, phases = accounting
         registry = MetricsRegistry()
         registry.gauge(
             "repro_campaign_wall_seconds",
             "campaign wall-clock duration as seen by the profiler",
-        ).set(round(wall, 6))
-
-        busy: dict[str, float] = {}
-        spawn: dict[str, float] = {}
-        build: dict[str, float] = {}
-        tasks: dict[str, int] = {}
-        phases: dict[str, float] = {}
-        dispatch_overhead = 0.0
-        #: span_id -> worker-side seconds nested under that dispatch.
-        nested: dict[int, float] = {}
-        for span in spans:
-            if span["name"] in ("compute", "world-build"):
-                parent = span["parent_id"]
-                if parent is not None:
-                    nested[parent] = (
-                        nested.get(parent, 0.0) + span["logical_seconds"]
-                    )
-        for span in spans:
-            name = span["name"]
-            seconds = span["logical_seconds"]
-            worker = span["attrs"].get("worker")
-            if name == "dispatch":
-                busy[worker] = busy.get(worker, 0.0) + seconds
-                tasks[worker] = tasks.get(worker, 0) + 1
-                phases["dispatch"] = phases.get("dispatch", 0.0) + seconds
-                dispatch_overhead += max(
-                    seconds - nested.get(span["span_id"], 0.0), 0.0
-                )
-            elif name == "compute":
-                if span["parent_id"] == 1:  # inline (unsharded) compute
-                    busy[worker] = busy.get(worker, 0.0) + seconds
-                    tasks[worker] = tasks.get(worker, 0) + 1
-                phases["compute"] = phases.get("compute", 0.0) + seconds
-            elif name == "worker-spawn":
-                spawn[worker] = spawn.get(worker, 0.0) + seconds
-                phases["spawn"] = phases.get("spawn", 0.0) + seconds
-            elif name == "world-build":
-                build[worker] = build.get(worker, 0.0) + seconds
-                if span["parent_id"] == 1 and worker == "main":
-                    busy["main"] = busy.get("main", 0.0) + seconds
-                phases["world-build"] = (
-                    phases.get("world-build", 0.0) + seconds
-                )
-            elif name == "zone-warm":
-                if span["parent_id"] == 1 and worker == "main":
-                    busy["main"] = busy.get("main", 0.0) + seconds
-                phases["zone-warm"] = (
-                    phases.get("zone-warm", 0.0) + seconds
-                )
-            elif name in ("queue-wait", "backoff", "merge"):
-                phases[name] = phases.get(name, 0.0) + seconds
-                if name == "merge":
-                    busy["main"] = busy.get("main", 0.0) + seconds
-        phases["dispatch-overhead"] = dispatch_overhead
-
-        busy_gauge = registry.gauge(
-            "repro_worker_busy_seconds",
-            "wall-clock seconds each worker spent holding a dispatched "
-            "country (inline compute for the main process)",
-            ("worker",),
-        )
-        idle_gauge = registry.gauge(
-            "repro_worker_idle_seconds",
-            "wall-clock seconds each worker sat idle between spawn "
-            "and campaign end (campaign wall - spawn - busy)",
-            ("worker",),
-        )
-        spawn_gauge = registry.gauge(
-            "repro_worker_spawn_seconds",
-            "wall-clock seconds spent starting each worker process",
-            ("worker",),
-        )
+        ).set(wall)
+        worker_gauges = {
+            key: registry.gauge(name, help, ("worker",))
+            for key, name, help in (
+                ("busy", "repro_worker_busy_seconds",
+                 "wall-clock seconds each worker spent holding a "
+                 "dispatched country (for main: inline compute, World "
+                 "build, zone warm-up and merge)"),
+                ("idle", "repro_worker_idle_seconds",
+                 "wall-clock seconds each worker sat idle between spawn "
+                 "and campaign end (campaign wall - spawn - busy)"),
+                ("spawn", "repro_worker_spawn_seconds",
+                 "wall-clock seconds spent starting each worker process"),
+                ("world_build", "repro_world_build_seconds",
+                 "wall-clock seconds spent building the World, per "
+                 "process"),
+            )
+        }
         tasks_counter = registry.counter(
             "repro_worker_tasks_total",
             "country dispatches handled per worker",
             ("worker",),
         )
-        build_gauge = registry.gauge(
-            "repro_world_build_seconds",
-            "wall-clock seconds spent building the World, per process",
-            ("worker",),
-        )
-        for worker in sorted(
-            set(busy) | set(spawn) | set(tasks), key=str
-        ):
-            worker_busy = busy.get(worker, 0.0)
-            worker_spawn = spawn.get(worker, 0.0)
-            idle = max(wall - worker_spawn - worker_busy, 0.0)
-            busy_gauge.set(round(worker_busy, 6), worker=worker)
-            idle_gauge.set(round(idle, 6), worker=worker)
-            spawn_gauge.set(round(worker_spawn, 6), worker=worker)
-            tasks_counter.inc(tasks.get(worker, 0), worker=worker)
-        for worker in sorted(build, key=str):
-            build_gauge.set(round(build[worker], 6), worker=worker)
+        for worker in sorted(workers):
+            entry = workers[worker]
+            for key, gauge in worker_gauges.items():
+                gauge.set(entry[key], worker=worker)
+            tasks_counter.inc(entry["tasks"], worker=worker)
 
         phase_gauge = registry.gauge(
             "repro_phase_seconds",
@@ -479,7 +506,7 @@ class CampaignProfiler:
             ("phase",),
         )
         for phase in sorted(phases):
-            phase_gauge.set(round(phases[phase], 6), phase=phase)
+            phase_gauge.set(phases[phase], phase=phase)
 
         depth_hist = registry.histogram(
             "repro_queue_depth",

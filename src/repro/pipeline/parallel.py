@@ -62,13 +62,13 @@ from ..errors import PipelineError, StoreCorruptionError
 from ..faults.plan import FaultPlan, fault_profile
 from ..net.dns import ZoneCache
 from ..faults.retry import RetryPolicy
-from ..obs.instrument import (
-    Instrumentation,
-    StoreTelemetry,
-    SupervisorTelemetry,
+from ..obs.instrument import Instrumentation
+from ..obs.metrics import (
+    MetricsRegistry,
+    merge_metrics_payloads,
+    render_metrics_json,
 )
-from ..obs.metrics import merge_metrics_payloads, render_metrics_json
-from ..obs.profile import CampaignProfiler, render_profile_json
+from ..obs.profile import CampaignProfiler
 from ..obs.spans import stitch_spans, write_spans_jsonl
 from ..worldgen.churn import ChurnConfig, evolve
 from ..worldgen.config import WorldConfig
@@ -298,7 +298,7 @@ class CampaignResult:
                 "campaign ran without profiling; no profile to write"
             )
         Path(path).write_text(
-            render_profile_json(self.profile), encoding="utf-8"
+            render_metrics_json(self.profile), encoding="utf-8"
         )
 
 
@@ -452,6 +452,11 @@ class _StoreSession:
     each measured result as it lands, and keeps the manifest current on
     disk — so a kill at any instant loses at most the country units
     still in flight.
+
+    Its hit/miss/skip counters live in a registry of their own, never
+    merged into the campaign's measurement metrics: a resumed run must
+    write ``--metrics-out`` byte-identical to an uninterrupted one, and
+    store hit counts differ between the two by design.
     """
 
     def __init__(
@@ -470,7 +475,22 @@ class _StoreSession:
 
         self.store = store
         self.spec = spec
-        self.telemetry = StoreTelemetry()
+        self.metrics = MetricsRegistry()
+        hits = self.metrics.counter(
+            "repro_store_shard_hits_total",
+            "Countries whose stored shard was reused",
+            labelnames=("country",),
+        )
+        misses = self.metrics.counter(
+            "repro_store_shard_misses_total",
+            "Countries measured because no stored shard matched",
+            labelnames=("country",),
+        )
+        skipped = self.metrics.counter(
+            "repro_store_resume_skipped_total",
+            "Countries skipped by --resume (shard already present)",
+            labelnames=("country",),
+        )
         self.campaign = campaign_id(spec)
         if baseline is not None and store.load_manifest(baseline) is None:
             raise PipelineError(
@@ -504,14 +524,14 @@ class _StoreSession:
                 if shard.quarantined is not None:
                     # A stored tombstone is a promise to re-measure,
                     # never a reusable result.
-                    self.telemetry.shard_miss(cc)
+                    misses.inc(country=cc)
                     continue
                 self.reused[cc] = shard
-                self.telemetry.shard_hit(cc)
+                hits.inc(country=cc)
                 if resume:
-                    self.telemetry.resume_skipped(cc)
+                    skipped.inc(country=cc)
             elif reuse_wanted:
-                self.telemetry.shard_miss(cc)
+                misses.inc(country=cc)
         self.manifest: dict = {
             "_schema": MANIFEST_SCHEMA,
             "campaign": self.campaign,
@@ -554,7 +574,7 @@ class _StoreSession:
         """Record final state and write the store-metrics artifact."""
         self.manifest["complete"] = complete
         self.store.save_manifest(self.manifest)
-        payload = self.telemetry.to_dict()
+        payload = self.metrics.to_dict()
         if supervisor_metrics is not None:
             payload = merge_metrics_payloads(
                 [payload, supervisor_metrics]
@@ -649,7 +669,7 @@ def run_campaign(
     ]
     measured: dict[str, CountryResult] = {}
     halted = False
-    supervisor_telemetry: SupervisorTelemetry | None = None
+    supervisor_metrics: dict | None = None
 
     def note(result: CountryResult) -> bool:
         """Record one fresh result; True when the campaign must halt."""
@@ -711,14 +731,14 @@ def run_campaign(
                     "main", warm_start, profiler.now()
                 )
             _PREFORK_CONTEXT = prefork
-        supervisor_telemetry = SupervisorTelemetry()
+        supervisor_registry = MetricsRegistry()
         supervisor = ShardSupervisor(
             spec,
             to_measure,
             workers,
             policy if policy is not None else SupervisorPolicy(),
             chaos=chaos,
-            telemetry=supervisor_telemetry,
+            metrics=supervisor_registry,
             profiler=profiler,
             mp_context=context,
         )
@@ -726,13 +746,12 @@ def run_campaign(
             _results, halted = supervisor.run(note)
         finally:
             _PREFORK_CONTEXT = None
-
-    supervisor_metrics = (
-        supervisor_telemetry.to_dict()
-        if supervisor_telemetry is not None
-        and not supervisor_telemetry.empty()
-        else None
-    )
+        payload = supervisor_registry.to_dict()
+        # Only a run the supervisor had to intervene in carries its
+        # families, so a clean run's store artifact stays identical to
+        # an unsupervised one's.
+        if any(entry["samples"] for entry in payload["metrics"].values()):
+            supervisor_metrics = payload
 
     if halted:
         if session is not None:
@@ -790,7 +809,7 @@ def run_campaign(
         open_circuits=tuple(open_circuits),
         campaign=session.campaign if session is not None else None,
         store_metrics=(
-            session.telemetry.to_dict() if session is not None else None
+            session.metrics.to_dict() if session is not None else None
         ),
         quarantined=quarantined,
         supervisor_metrics=supervisor_metrics,

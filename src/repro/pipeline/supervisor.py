@@ -61,10 +61,10 @@ from typing import TYPE_CHECKING, Callable
 
 from ..errors import PipelineError
 from ..faults.retry import RetryPolicy
+from ..obs.metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..faults.chaos import ChaosPlan
-    from ..obs.instrument import SupervisorTelemetry
     from ..obs.profile import CampaignProfiler
     from .parallel import CampaignSpec, CountryResult
 
@@ -268,6 +268,12 @@ class ShardSupervisor:
     per the :class:`SupervisorPolicy`.  Purely an orchestration layer:
     results (and the merge the caller performs on them) are identical
     to the unsupervised executor's whenever nothing fails.
+
+    Retries, timeouts and quarantines are counted on ``metrics``, a
+    registry of their own that never merges into a campaign's
+    measurement metrics: a campaign that survived worker crashes must
+    still export ``--metrics-out`` byte-identical to one that never
+    saw them.
     """
 
     def __init__(
@@ -278,7 +284,7 @@ class ShardSupervisor:
         policy: SupervisorPolicy,
         *,
         chaos: "ChaosPlan | None" = None,
-        telemetry: "SupervisorTelemetry | None" = None,
+        metrics: MetricsRegistry | None = None,
         profiler: "CampaignProfiler | None" = None,
         mp_context=None,
     ) -> None:
@@ -287,7 +293,26 @@ class ShardSupervisor:
         self.worker_count = max(1, min(workers, len(self.countries) or 1))
         self.policy = policy
         self.chaos = chaos
-        self.telemetry = telemetry
+        if metrics is None:
+            metrics = MetricsRegistry()
+        self._retries = metrics.counter(
+            "repro_shard_retries_total",
+            "Country shards resubmitted after a worker crash, error, "
+            "or deadline",
+            labelnames=("country", "reason"),
+        )
+        self._timeouts = metrics.counter(
+            "repro_shard_timeouts_total",
+            "Country shards killed for exceeding the wall-clock "
+            "country deadline",
+            labelnames=("country",),
+        )
+        self._quarantined = metrics.counter(
+            "repro_countries_quarantined_total",
+            "Countries tombstoned after exhausting the shard retry "
+            "budget",
+            labelnames=("country", "reason"),
+        )
         self.profiler = profiler
         self._context = (
             mp_context if mp_context is not None else multiprocessing
@@ -366,16 +391,14 @@ class ShardSupervisor:
         note: Callable[["CountryResult"], bool],
     ) -> None:
         """One dispatch of a country failed; resubmit or quarantine."""
-        if self.telemetry is not None:
-            if reason == "timeout":
-                self.telemetry.shard_timeout(country)
+        if reason == "timeout":
+            self._timeouts.inc(country=country)
         if attempt <= self.policy.max_shard_retries:
             delays = self.policy.backoff_schedule(country)
             delay = delays[min(attempt - 1, len(delays) - 1)] if delays else 0.0
             now = time.monotonic()
             self._pending[country] = (attempt + 1, now + delay)
-            if self.telemetry is not None:
-                self.telemetry.shard_retry(country, reason)
+            self._retries.inc(country=country, reason=reason)
             if self.profiler is not None:
                 self.profiler.backoff(country, reason, now, now + delay)
             return
@@ -390,8 +413,7 @@ class ShardSupervisor:
             )
         tombstone = quarantine_tombstone(country, f"{reason}: {detail}")
         self._results[country] = tombstone
-        if self.telemetry is not None:
-            self.telemetry.quarantined(country, reason)
+        self._quarantined.inc(country=country, reason=reason)
         if note(tombstone):
             self._halted = True
 

@@ -51,7 +51,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from ..errors import PipelineError
-from ..obs.instrument import WatchTelemetry
+from ..obs.metrics import MetricsRegistry
 from ..worldgen.churn import ChurnConfig, evolve
 from .export import export_csv
 from .parallel import (
@@ -361,8 +361,59 @@ def run_watch(
             f"{len(ledger.entries)} epochs in {store.root}; pass "
             f"--resume-series to continue it"
         )
-    telemetry = WatchTelemetry()
-    telemetry.session("resume" if ledger.entries else "fresh")
+    # How the driver fared (sessions, kills, sweeps) differs between a
+    # battered and a clean run by design, so these counters live in a
+    # registry of their own, folded into the series' ``.watch.json``
+    # and never into the ledger or the per-epoch artifacts.
+    metrics = MetricsRegistry()
+    metrics.counter(
+        "repro_watch_sessions_total",
+        "Watch driver invocations against this series",
+        labelnames=("mode",),
+    ).inc(mode="resume" if ledger.entries else "fresh")
+    epochs_total = metrics.counter(
+        "repro_watch_epochs_total",
+        "Epochs appended to the series ledger, by final status",
+        labelnames=("status",),
+    )
+    signals = metrics.counter(
+        "repro_watch_signals_total",
+        "Graceful-shutdown signals that stopped a watch session",
+        labelnames=("signal",),
+    )
+    deadlines = metrics.counter(
+        "repro_watch_deadlines_blown_total",
+        "Epochs tombstoned as degraded for blowing the per-epoch "
+        "wall-clock deadline",
+    )
+    gc_epochs = metrics.counter(
+        "repro_watch_gc_retired_epochs_total",
+        "Epochs retired by the store-quota retention policy",
+    )
+    gc_objects = metrics.counter(
+        "repro_watch_gc_objects_swept_total",
+        "Store objects swept by between-epoch quota GC",
+    )
+    gc_bytes = metrics.counter(
+        "repro_watch_gc_bytes_swept_total",
+        "Store bytes reclaimed by between-epoch quota GC",
+    )
+    unmet = metrics.counter(
+        "repro_watch_quota_unmet_total",
+        "Epochs whose quota could not be met even after retiring "
+        "every retirable epoch (recorded, not fatal)",
+    )
+
+    def record_sweep(retired: int, objects: int, freed: int) -> None:
+        # Zero amounts are skipped: inc(0) would add a sample.
+        for counter, amount in (
+            (gc_epochs, retired),
+            (gc_objects, objects),
+            (gc_bytes, freed),
+        ):
+            if amount:
+                counter.inc(amount)
+
     # Replay half-executed retirement: the ledger records retirement
     # decisions *before* manifests are deleted and objects swept, so a
     # kill inside the GC window leaves victims whose manifests (or
@@ -379,9 +430,7 @@ def run_watch(
         if replayed or resume:
             sweep = store.gc()
             if sweep.objects_removed or sweep.index_removed:
-                telemetry.gc_sweep(
-                    0, sweep.objects_removed, sweep.bytes_freed
-                )
+                record_sweep(0, sweep.objects_removed, sweep.bytes_freed)
     ran: list[int] = []
     interrupted: str | None = None
     export_root = Path(export_dir) if export_dir is not None else None
@@ -454,9 +503,9 @@ def run_watch(
                     # entry lands, and --resume-series re-enters this
                     # epoch reusing them.
                     interrupted = shutdown.signal_name
-                    telemetry.signal_stop(interrupted or "unknown")
+                    signals.inc(signal=interrupted or "unknown")
                     break
-                telemetry.deadline_blown()
+                deadlines.inc()
                 status = "degraded:deadline"
                 campaign = halted.campaign
                 result = None
@@ -475,7 +524,7 @@ def run_watch(
             ):
                 # The signal landed after the epoch's last checkpoint:
                 # the epoch is complete, so record it, then stop.
-                telemetry.signal_stop(shutdown.signal_name or "unknown")
+                signals.inc(signal=shutdown.signal_name or "unknown")
 
             if export_root is not None and result is not None:
                 export_csv(
@@ -497,7 +546,7 @@ def run_watch(
                 chaos.pressure_bytes(epoch) if chaos is not None else 0,
             )
             if not quota_met:
-                telemetry.quota_unmet()
+                unmet.inc()
             epoch_to_campaign = {
                 entry["epoch"]: entry["campaign"]
                 for entry in ledger.entries
@@ -529,19 +578,17 @@ def run_watch(
             fire(epoch, "mid-gc")
             if retired:
                 sweep = store.gc()
-                telemetry.gc_sweep(
-                    len(retired),
-                    sweep.objects_removed,
-                    sweep.bytes_freed,
+                record_sweep(
+                    len(retired), sweep.objects_removed, sweep.bytes_freed
                 )
-            telemetry.epoch(status)
+            epochs_total.inc(status=status)
             ran.append(epoch)
             fire(epoch, "epoch-end")
             if shutdown.requested():
                 interrupted = shutdown.signal_name
                 break
 
-    payload = telemetry.to_dict()
+    payload = metrics.to_dict()
     ledger.merge_watch_metrics(payload)
     quota_unmet = tuple(
         entry["epoch"]

@@ -159,9 +159,10 @@ def geometric_tail(
     """Share tail with total ``mass`` and ``sum(share^2) ≈ squared_sum``.
 
     ``unit`` is the share of a single website (``1/C``): the tail never
-    contains entries smaller than one site.  Within the tail, shares
-    follow the geometric family whose parameter is solved from the
-    normalized concentration ``h = squared_sum / mass^2`` via
+    contains entries smaller than one site, except that a tail lighter
+    than one site (small worlds) is its own single entry.  Within the
+    tail, shares follow the geometric family whose parameter is solved
+    from the normalized concentration ``h = squared_sum / mass^2`` via
     ``p = 2h / (1 + h)``; residual mass becomes single-site entries.
 
     The attainable concentration is clamped to ``[mass * unit, mass^2]``
@@ -169,10 +170,10 @@ def geometric_tail(
     """
     if mass <= 0:
         return []
-    if unit <= 0 or unit > mass:
-        raise InvalidDistributionError(
-            f"unit {unit} must be in (0, mass={mass}]"
-        )
+    if unit <= 0:
+        raise InvalidDistributionError(f"unit {unit} must be positive")
+    if unit > mass:
+        return [mass]
     floor = mass * unit  # every site its own provider
     squared_sum = min(max(squared_sum, floor), mass * mass)
     h = squared_sum / (mass * mass)

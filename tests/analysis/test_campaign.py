@@ -9,7 +9,11 @@ import pytest
 from repro.analysis import load_metrics, render_campaign_report
 from repro.errors import PipelineError
 from repro.faults import RetryPolicy, fault_profile
-from repro.obs import Instrumentation
+from repro.obs import (
+    Instrumentation,
+    MetricsRegistry,
+    merge_metrics_payloads,
+)
 from repro.pipeline import MeasurementPipeline
 from repro.worldgen import World, WorldConfig
 
@@ -124,16 +128,25 @@ class TestRenderReport:
         assert "rows:      0 total" in report
 
 
+def _counted(**families: list[dict]) -> dict:
+    """A registry payload counting one event per labels dict."""
+    registry = MetricsRegistry()
+    for name, events in families.items():
+        counter = registry.counter(name, labelnames=tuple(events[0]))
+        for labels in events:
+            counter.inc(**labels)
+    return registry.to_dict()
+
+
 class TestStoreSection:
     def store_metrics(self) -> dict:
-        from repro.obs.instrument import StoreTelemetry
-
-        telemetry = StoreTelemetry()
-        for cc in ("DE", "TH", "US"):
-            telemetry.shard_hit(cc)
-        telemetry.shard_miss("BR")
-        telemetry.resume_skipped("DE")
-        return telemetry.to_dict()
+        return _counted(
+            repro_store_shard_hits_total=[
+                {"country": cc} for cc in ("DE", "TH", "US")
+            ],
+            repro_store_shard_misses_total=[{"country": "BR"}],
+            repro_store_resume_skipped_total=[{"country": "DE"}],
+        )
 
     def test_absent_without_store_metrics(self, artifacts) -> None:
         metrics_path, _ = artifacts
@@ -156,24 +169,20 @@ class TestStoreSection:
 
 class TestSupervisionSection:
     def store_metrics(self, with_supervision: bool) -> dict:
-        from repro.obs.instrument import (
-            StoreTelemetry,
-            SupervisorTelemetry,
-        )
-        from repro.obs.metrics import merge_metrics_payloads
-
-        store = StoreTelemetry()
-        store.shard_miss("TH")
+        store = _counted(repro_store_shard_misses_total=[{"country": "TH"}])
         if not with_supervision:
-            return store.to_dict()
-        supervisor = SupervisorTelemetry()
-        supervisor.shard_retry("TH", "crash")
-        supervisor.shard_retry("TH", "timeout")
-        supervisor.shard_timeout("TH")
-        supervisor.quarantined("TH", "crash")
-        return merge_metrics_payloads(
-            [store.to_dict(), supervisor.to_dict()]
+            return store
+        supervisor = _counted(
+            repro_shard_retries_total=[
+                {"country": "TH", "reason": "crash"},
+                {"country": "TH", "reason": "timeout"},
+            ],
+            repro_shard_timeouts_total=[{"country": "TH"}],
+            repro_countries_quarantined_total=[
+                {"country": "TH", "reason": "crash"}
+            ],
         )
+        return merge_metrics_payloads([store, supervisor])
 
     def test_absent_on_unsupervised_artifacts(self, artifacts) -> None:
         metrics_path, _ = artifacts

@@ -201,6 +201,7 @@ class TestTraceRoundTrip:
         path = tmp_path / "trace.jsonl"
         result.write_trace(path)
         trace = chrome_trace(load_trace(path))
+        assert {e["ph"] for e in trace["traceEvents"]} == {"M", "X"}
         pids = {
             e["pid"] for e in trace["traceEvents"] if e["ph"] == "X"
         }

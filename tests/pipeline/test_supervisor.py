@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import PipelineError
-from repro.obs.instrument import SupervisorTelemetry
+from repro.obs.metrics import MetricsRegistry, metric_total
 from repro.pipeline import CampaignSpec, run_campaign
 from repro.pipeline.supervisor import (
     ShardSupervisor,
@@ -103,13 +103,13 @@ class TestSupervisorBookkeeping:
         assert supervisor.worker_count == 2
 
     def test_happy_path_returns_all_results(self) -> None:
-        telemetry = SupervisorTelemetry()
+        registry = MetricsRegistry()
         supervisor = ShardSupervisor(
             SPEC,
             ["TH", "US"],
             workers=2,
             policy=SupervisorPolicy(),
-            telemetry=telemetry,
+            metrics=registry,
         )
         results, halted = supervisor.run(lambda result: False)
         assert halted is False
@@ -119,7 +119,8 @@ class TestSupervisorBookkeeping:
         )
         # No failures -> the supervisor registry stays empty, so the
         # campaign's artifacts stay byte-identical to unsupervised runs.
-        assert telemetry.empty()
+        families = registry.to_dict()["metrics"].values()
+        assert not any(entry["samples"] for entry in families)
 
     def test_note_halts_the_fleet(self) -> None:
         supervisor = ShardSupervisor(
@@ -132,14 +133,30 @@ class TestSupervisorBookkeeping:
 
 class TestSupervisorTelemetry:
     def test_counts_and_separation(self) -> None:
-        telemetry = SupervisorTelemetry()
-        assert telemetry.empty()
-        telemetry.shard_retry("TH", "crash")
-        telemetry.shard_timeout("US")
-        telemetry.quarantined("TH", "timeout")
-        assert not telemetry.empty()
-        assert telemetry.counts() == (1, 1, 1)
-        payload = telemetry.to_dict()
+        registry = MetricsRegistry()
+        supervisor = ShardSupervisor(
+            SPEC,
+            ["TH", "US"],
+            workers=1,
+            policy=SupervisorPolicy(max_shard_retries=1, quarantine=True),
+            metrics=registry,
+        )
+        # TH crashes with retry budget left; US times out on its last
+        # allowed attempt and is quarantined.
+        supervisor._task_failed("TH", 1, "crash", "exit -9", lambda r: False)
+        supervisor._task_failed("US", 2, "timeout", "deadline", lambda r: False)
+        payload = registry.to_dict()
+        assert [
+            metric_total(payload, name)
+            for name in (
+                "repro_shard_retries_total",
+                "repro_shard_timeouts_total",
+                "repro_countries_quarantined_total",
+            )
+        ] == [1, 1, 1]
+        assert metric_total(
+            payload, "repro_countries_quarantined_total", reason="timeout"
+        ) == 1
         families = set(payload["metrics"])
         assert families == {
             "repro_shard_retries_total",

@@ -3,12 +3,19 @@
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import jaccard_index
+from repro.datasets.countries import COUNTRY_CODES
 from repro.net import Prefix, PrefixAllocator, PrefixTrie, int_to_ip, ip_to_int
-from repro.worldgen import power_transform, score_of_shares, solve_theta
+from repro.worldgen import (
+    World,
+    WorldConfig,
+    power_transform,
+    score_of_shares,
+    solve_theta,
+)
 
 addresses = st.integers(min_value=0, max_value=(1 << 32) - 1)
 prefix_lengths = st.integers(min_value=0, max_value=32)
@@ -115,6 +122,31 @@ class TestCalibrationProperties:
         out = power_transform(shares, theta)
         assert np.all(out > 0)
         assert out.sum() == __import__("pytest").approx(1.0)
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        st.integers(min_value=0, max_value=2**31 - 1),
+        st.sampled_from(COUNTRY_CODES),
+        st.integers(min_value=50, max_value=120),
+    )
+    # Random draws rarely hit a failing world, so the cases that once
+    # failed to build always run.
+    @example(seed=2, country="GP", sites=50)
+    @example(seed=8, country="DK", sites=60)
+    @example(seed=6, country="GR", sites=75)
+    def test_small_worlds_build(
+        self, seed: int, country: str, sites: int
+    ) -> None:
+        """Any seed and country builds down to the 50-site floor.
+
+        Small toplists leave some layers a tail lighter than one site,
+        which calibration must absorb rather than reject.
+        """
+        config = WorldConfig(
+            seed=seed, countries=(country,), sites_per_country=sites
+        )
+        world = World(config).materialize()
+        assert len(world.toplists[country].domains) == sites
 
 
 class TestJaccardProperties:

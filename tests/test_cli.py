@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -277,6 +278,59 @@ class TestObservabilityFlags:
         assert code == 0
         err = capsys.readouterr().err
         assert "row-failed" in err
+
+
+class TestProfileOut:
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the parent's zone-warm span is recorded under fork only",
+    )
+    def test_profile_matches_trace_summarize(
+        self, capsys: pytest.CaptureFixture, tmp_path
+    ) -> None:
+        trace = tmp_path / "trace.jsonl"
+        profile = tmp_path / "profile.json"
+        assert main(
+            [
+                "measure",
+                "--sites", "60",
+                "--countries", "US", "TH",
+                "--fault-profile", "chaos",
+                "--retries", "3",
+                "--workers", "2",
+                "--trace-out", str(trace),
+                "--profile-out", str(profile),
+            ]
+        ) == 0
+        capsys.readouterr()
+        assert main(["trace", "summarize", str(trace), "--json"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        metrics = json.loads(profile.read_text())["metrics"]
+        fields = {
+            "repro_worker_busy_seconds": "busy",
+            "repro_worker_idle_seconds": "idle",
+            "repro_worker_spawn_seconds": "spawn",
+            "repro_worker_tasks_total": "tasks",
+            "repro_world_build_seconds": "world_build",
+        }
+        assert {
+            name for name in metrics if name.startswith("repro_worker_")
+        } == set(fields) - {"repro_world_build_seconds"}
+        assert set(summary["workers"]) == {"main", "w0", "w1"}
+        for name, field in fields.items():
+            for sample in metrics[name]["samples"]:
+                worker = sample["labels"]["worker"]
+                assert sample["value"] == summary["workers"][worker][
+                    field
+                ], (name, worker)
+        phases = {
+            sample["labels"]["phase"]: sample["value"]
+            for sample in metrics["repro_phase_seconds"]["samples"]
+        }
+        assert phases == summary["phases"]
+        assert "zone-warm" in phases and "dispatch-overhead" in phases
+        wall = metrics["repro_campaign_wall_seconds"]["samples"][0]
+        assert wall["value"] == summary["wall_seconds"]
 
 
 class TestVersion:

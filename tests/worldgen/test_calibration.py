@@ -129,7 +129,11 @@ class TestGeometricTail:
         with pytest.raises(InvalidDistributionError):
             geometric_tail(0.5, 0.01, 0.0)
         with pytest.raises(InvalidDistributionError):
-            geometric_tail(0.5, 0.01, 0.6)
+            geometric_tail(0.5, 0.01, -0.1)
+
+    def test_sub_site_mass_is_one_entry(self) -> None:
+        # A tail lighter than one site (small worlds) is kept whole.
+        assert geometric_tail(0.5, 0.01, 0.6) == [0.5]
 
     def test_no_entry_below_unit(self) -> None:
         unit = 1e-3
