@@ -1,11 +1,12 @@
 #!/usr/bin/env python
-"""Seed the perf trajectory: time the pipeline and core primitives.
+"""Time the measurement pipeline: observability overhead and sharding.
 
-Every future performance PR measures itself against the numbers this
-script writes.  It times the per-country measurement unit instrumented
-and bare (the observability-overhead yardstick), the campaign runner
-across worker counts, and the hot core primitives, and writes a
-``BENCH_<date>.json`` at the repository root.
+It times the per-country measurement unit instrumented and bare (the
+observability-overhead yardstick) and the campaign runner across
+worker counts, and writes a ``BENCH_<date>.json`` at the repository
+root.  The core primitives are timed by
+``benchmarks/test_perf_primitives.py`` and the serve read path by the
+repository benchmark (``perfbench/run.py --workload serve``).
 
 Workflow (documented in DESIGN.md §7):
 
@@ -40,12 +41,6 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from repro.analysis.traceprof import analyze_trace  # noqa: E402
-from repro.core import (  # noqa: E402
-    ProviderDistribution,
-    centralization_score,
-    hhi,
-    top_n_share,
-)
 from repro.faults import RetryPolicy, fault_profile  # noqa: E402
 from repro.net.dns import ZoneCache  # noqa: E402
 from repro.obs import Instrumentation  # noqa: E402
@@ -297,197 +292,9 @@ def bench_parallel(
     return out
 
 
-def bench_serve(
-    sites: int,
-    countries: tuple[str, ...],
-    warm_passes: int = 5,
-) -> dict:
-    """Load-generate against ``repro serve`` over a fixture store.
-
-    Builds a two-campaign store (base + churned world, so the diff
-    endpoint has real provenance to report), boots the threading
-    server on an ephemeral port, and measures four request paths over
-    the same URL set:
-
-    * ``cold`` — the very first pass: every materialization is built
-      from raw shards and persisted as a derived object.
-    * ``warm_full`` — repeat passes returning full 200 bodies from the
-      in-process summary cache (no shard objects touched).
-    * ``warm_etag`` — repeat passes revalidating with
-      ``If-None-Match``: 304, empty body, the CDN-friendly path.
-    * ``restart_disk`` — a *fresh* server process-equivalent (new API
-      over the same store): payloads come from the on-disk derived
-      objects, nothing is rebuilt.
-
-    The warm numbers divided by cold are the bench's headline — the
-    factor the materialization layer actually buys.
-    """
-    import http.client
-    import tempfile
-    import threading
-
-    from repro.serve import serve as build_server
-    from repro.store import CampaignStore
-    from repro.worldgen import ChurnConfig
-
-    tmp = tempfile.mkdtemp(prefix="repro-serve-bench-")
-    spec = CampaignSpec(
-        config=WorldConfig(
-            sites_per_country=sites, countries=countries
-        ),
-        fault_profile="chaos",
-        fault_seed=0,
-        retries=3,
-    )
-    run_campaign(spec, store=CampaignStore(tmp))
-    run_campaign(
-        dataclasses.replace(
-            spec, churn=ChurnConfig(churn_countries=countries[:1])
-        ),
-        store=CampaignStore(tmp),
-    )
-    campaign_a, campaign_b = CampaignStore(tmp).list_campaign_ids()
-
-    urls = ["/campaigns"]
-    for campaign in (campaign_a, campaign_b):
-        urls.append(f"/campaigns/{campaign}")
-        urls.append(f"/campaigns/{campaign}/layers")
-        urls.extend(
-            f"/campaigns/{campaign}/countries/{cc}" for cc in countries
-        )
-    urls.append(f"/diff/{campaign_a}/{campaign_b}")
-    urls.append(
-        f"/whatif/{campaign_a}?knob=outage&provider=Cloudflare"
-    )
-    urls.append(f"/whatif/{campaign_a}?knob=schism&country=US")
-
-    def run_pass(
-        address: tuple, etags: dict[str, str] | None
-    ) -> tuple[float, dict[str, str], dict[int, int]]:
-        """One pass over the URL set on a single keep-alive connection."""
-        conn = http.client.HTTPConnection(*address)
-        seen: dict[str, str] = {}
-        statuses: dict[int, int] = {}
-        start = time.perf_counter()
-        for url in urls:
-            headers = {}
-            if etags is not None and url in etags:
-                headers["If-None-Match"] = etags[url]
-            conn.request("GET", url, headers=headers)
-            response = conn.getresponse()
-            response.read()
-            statuses[response.status] = (
-                statuses.get(response.status, 0) + 1
-            )
-            etag = response.getheader("ETag")
-            if etag:
-                seen[url] = etag
-        seconds = time.perf_counter() - start
-        conn.close()
-        return seconds, seen, statuses
-
-    def timed(seconds: float, statuses: dict) -> dict:
-        return {
-            "seconds": round(seconds, 4),
-            "requests": sum(statuses.values()),
-            "rps": round(sum(statuses.values()) / seconds, 1)
-            if seconds
-            else None,
-            "statuses": {str(k): v for k, v in sorted(statuses.items())},
-        }
-
-    def launch():
-        server = build_server(tmp, port=0)
-        thread = threading.Thread(
-            target=server.serve_forever, daemon=True
-        )
-        thread.start()
-        return server, server.server_address[:2]
-
-    server, address = launch()
-    try:
-        cold_seconds, etags, cold_statuses = run_pass(address, None)
-        full_seconds = float("inf")
-        full_statuses: dict[int, int] = {}
-        etag_seconds = float("inf")
-        etag_statuses: dict[int, int] = {}
-        for _ in range(warm_passes):
-            seconds, _, statuses = run_pass(address, None)
-            if seconds < full_seconds:
-                full_seconds, full_statuses = seconds, statuses
-            seconds, _, statuses = run_pass(address, etags)
-            if seconds < etag_seconds:
-                etag_seconds, etag_statuses = seconds, statuses
-    finally:
-        server.shutdown()
-        server.server_close()
-
-    # A brand-new server over the same store: derived objects on disk
-    # mean nothing is rebuilt, and bodies are byte-identical (same
-    # ETags revalidate).
-    server, address = launch()
-    try:
-        restart_seconds, restart_etags, restart_statuses = run_pass(
-            address, None
-        )
-    finally:
-        server.shutdown()
-        server.server_close()
-
-    cold = timed(cold_seconds, cold_statuses)
-    warm_full = timed(full_seconds, full_statuses)
-    warm_etag = timed(etag_seconds, etag_statuses)
-    restart = timed(restart_seconds, restart_statuses)
-    return {
-        "store": {
-            "campaigns": 2,
-            "countries": len(countries),
-            "sites_per_country": sites,
-        },
-        "urls": len(urls),
-        "warm_passes": warm_passes,
-        "etags_stable_across_restart": etags == restart_etags,
-        "cold": cold,
-        "warm_full": warm_full,
-        "warm_etag": warm_etag,
-        "restart_disk": restart,
-        "warm_speedup_vs_cold": round(
-            cold_seconds / full_seconds, 2
-        )
-        if full_seconds
-        else None,
-        "etag_speedup_vs_cold": round(
-            cold_seconds / etag_seconds, 2
-        )
-        if etag_seconds
-        else None,
-    }
-
-
-def bench_primitives(repeat: int, n: int = 20000) -> dict:
-    """Time the hot core scoring primitives on a large distribution."""
-    dist = ProviderDistribution(
-        {f"provider-{i}": float((i % 97) + 1) for i in range(n)}
-    )
-
-    out: dict = {}
-    for name, fn in (
-        ("centralization_score", lambda: centralization_score(dist)),
-        ("hhi", lambda: hhi(dist)),
-        ("top_n_share", lambda: top_n_share(dist, 5)),
-    ):
-        seconds, value = _best_of(repeat, fn)
-        out[name] = {
-            "seconds": round(seconds, 6),
-            "providers": n,
-            "value": round(float(value), 6),  # type: ignore[arg-type]
-        }
-    return out
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="benchmark the pipeline and core primitives"
+        description="benchmark observability overhead and sharding"
     )
     parser.add_argument(
         "--smoke",
@@ -526,21 +333,6 @@ def main(argv: list[str] | None = None) -> int:
         "run per count, outside the timed region)",
     )
     parser.add_argument(
-        "--serve",
-        action="store_true",
-        help="benchmark the repro serve read path instead of the "
-        "pipeline: requests/second on cold (first materialization) "
-        "vs warm (summary-cache and ETag-revalidated) request paths",
-    )
-    parser.add_argument(
-        "--min-serve-warm-speedup",
-        type=float,
-        default=None,
-        metavar="X",
-        help="fail (exit 1) when the warm (ETag) path is not at least "
-        "X times faster than the cold path — the CI serve gate",
-    )
-    parser.add_argument(
         "--max-overhead-pct",
         type=float,
         default=None,
@@ -570,7 +362,6 @@ def main(argv: list[str] | None = None) -> int:
         countries: tuple[str, ...] = WorldConfig().countries
         repeat = args.repeat or 1
         workers_counts = tuple(args.workers or (1, 2, 4))
-        primitives_n = 20000
         # Overhead is a per-site property; measuring it at paper scale
         # would only multiply the run time, so the overhead section
         # keeps the standard config.
@@ -583,7 +374,6 @@ def main(argv: list[str] | None = None) -> int:
         countries = WorldConfig().countries[:20]
         repeat = args.repeat or 1
         workers_counts = tuple(args.workers or (1, 2))
-        primitives_n = 2000
         overhead_sites, overhead_countries = 60, ("TH", "US")
     elif args.smoke:
         mode = "smoke"
@@ -591,7 +381,6 @@ def main(argv: list[str] | None = None) -> int:
         countries = ("TH", "US")
         repeat = args.repeat or 1
         workers_counts = tuple(args.workers or (1, 2))
-        primitives_n = 2000
         overhead_sites, overhead_countries = sites, countries
     else:
         mode = "standard"
@@ -599,7 +388,6 @@ def main(argv: list[str] | None = None) -> int:
         countries = ("BR", "DE", "IR", "TH", "US")
         repeat = args.repeat or 3
         workers_counts = tuple(args.workers or (1, 2, 4))
-        primitives_n = 20000
         overhead_sites, overhead_countries = sites, countries
 
     out_path = (
@@ -607,66 +395,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.out
         else ROOT / f"BENCH_{date.today().isoformat()}.json"
     )
-
-    if args.serve:
-        if args.smoke:
-            serve_sites, serve_countries = 50, ("TH", "US")
-        else:
-            serve_sites = args.sites or 150
-            serve_countries = ("BR", "DE", "TH", "US")
-        warm_passes = max(3, repeat)
-        print(
-            f"benchmarking serve [{mode}]: {serve_sites} sites x "
-            f"{len(serve_countries)} countries, "
-            f"{warm_passes} warm passes, cpus={_cpu_info()}"
-        )
-        serve_results = bench_serve(
-            serve_sites, serve_countries, warm_passes=warm_passes
-        )
-        report = {
-            "date": date.today().isoformat(),
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-            "cpus": _cpu_info(),
-            "smoke": args.smoke,
-            "mode": f"serve-{mode}",
-            "config": {
-                "sites_per_country": serve_sites,
-                "countries": list(serve_countries),
-                "warm_passes": warm_passes,
-            },
-            "results": {"serve": serve_results},
-        }
-        out_path.write_text(json.dumps(report, indent=2) + "\n")
-        print(
-            f"serve: cold {serve_results['cold']['rps']} req/s, "
-            f"warm {serve_results['warm_full']['rps']} req/s "
-            f"({serve_results['warm_speedup_vs_cold']}x), "
-            f"etag-304 {serve_results['warm_etag']['rps']} req/s "
-            f"({serve_results['etag_speedup_vs_cold']}x), "
-            f"restart-from-disk "
-            f"{serve_results['restart_disk']['rps']} req/s"
-        )
-        print(
-            f"etags stable across restart: "
-            f"{serve_results['etags_stable_across_restart']}"
-        )
-        print(f"wrote {out_path}")
-        if args.min_serve_warm_speedup is not None:
-            speedup = serve_results["etag_speedup_vs_cold"]
-            if (
-                speedup is None
-                or speedup < args.min_serve_warm_speedup
-                or not serve_results["etags_stable_across_restart"]
-            ):
-                print(
-                    f"FAIL: etag_speedup_vs_cold {speedup} < "
-                    f"--min-serve-warm-speedup "
-                    f"{args.min_serve_warm_speedup}, or ETags "
-                    f"unstable across restart"
-                )
-                return 1
-        return 0
 
     print(
         f"benchmarking [{mode}]: {sites} sites x {len(countries)} "
@@ -727,9 +455,6 @@ def main(argv: list[str] | None = None) -> int:
         "results": {
             "pipeline_instrumented": instrumented,
             "pipeline_uninstrumented": bare,
-            "core_primitives": bench_primitives(
-                repeat, n=primitives_n
-            ),
         },
     }
     # A gated run takes each side's best of at least five alternating

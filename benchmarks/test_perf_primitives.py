@@ -1,9 +1,10 @@
 """Performance harness for the hot primitives.
 
 Not a paper experiment: these benchmarks track the throughput of the
-operations the full study leans on — the closed-form score over large
-count vectors, longest-prefix matches, and resolver queries — so
-regressions in the substrate show up as timing changes here.
+operations the full study leans on — the closed-form score, HHI and
+top-N share over large count vectors, longest-prefix matches, and
+resolver queries — so regressions in the substrate show up as timing
+changes here.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import centralization_score
+from repro.core import centralization_score, hhi, top_n_share
 from repro.net import Namespace, Prefix, PrefixTrie, Resolver
 
 
@@ -21,8 +22,15 @@ def big_counts() -> np.ndarray:
     return rng.zipf(1.4, size=1_000_000).astype(float)
 
 
-def test_perf_score_on_million_providers(benchmark, big_counts) -> None:
-    score = benchmark(centralization_score, big_counts)
+@pytest.mark.parametrize(
+    "primitive",
+    [centralization_score, hhi, lambda counts: top_n_share(counts, 5)],
+    ids=["centralization_score", "hhi", "top_n_share"],
+)
+def test_perf_score_on_million_providers(
+    benchmark, big_counts, primitive
+) -> None:
+    score = benchmark(primitive, big_counts)
     assert 0.0 < score < 1.0
 
 

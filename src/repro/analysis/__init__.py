@@ -48,7 +48,6 @@ from .series import (
     render_series_detail,
     render_series_list,
     render_series_trend,
-    resolve_series_id,
     series_trend,
 )
 from .storediff import (
@@ -84,7 +83,6 @@ __all__ = [
     "render_series_detail",
     "render_series_list",
     "render_series_trend",
-    "resolve_series_id",
     "series_trend",
     "BundlingReport",
     "hosting_dns_bundling",

@@ -128,12 +128,13 @@ def _stage_lines(metrics: dict, spans: list[dict] | None) -> list[str]:
                 f"  {stage:<8} {total:>9.2f}s total  "
                 f"{count:>6} spans  {mean * 1000.0:>8.2f}ms mean"
             )
-    if spans:
-        by_stage: dict[str, list[float]] = defaultdict(list)
-        for span in spans:
-            by_stage[span.get("name", "?")].append(
-                float(span.get("wall_ms", 0.0))
-            )
+    # Spans reused from a campaign store carry no wall time; only the
+    # freshly measured ones count here.
+    by_stage: dict[str, list[float]] = defaultdict(list)
+    for span in spans or ():
+        if "wall_ms" in span:
+            by_stage[span.get("name", "?")].append(float(span["wall_ms"]))
+    if by_stage:
         rows_w = sorted(
             (
                 (sum(values), stage, len(values), max(values))

@@ -15,6 +15,7 @@ from __future__ import annotations
 from ..core.centralization import centralization_score
 from ..datasets.paper_scores import LAYERS
 from ..errors import EmptyDistributionError, PipelineError
+from ..store.series import live_bytes, retired_epochs, series_listing
 from ..store.store import CampaignStore
 from .layers import LayerAnalysis
 from .storediff import campaign_diff, dataset_from_manifest
@@ -23,75 +24,29 @@ __all__ = [
     "render_series_detail",
     "render_series_list",
     "render_series_trend",
-    "resolve_series_id",
     "series_trend",
 ]
 
 
-def resolve_series_id(store: CampaignStore, prefix: str) -> str:
-    """Expand a series-id prefix against the store's ledgers."""
-    matches = [
-        series
-        for series in store.list_series_ids()
-        if series.startswith(prefix)
-    ]
-    if len(matches) == 1:
-        return matches[0]
-    if not matches:
-        raise PipelineError(
-            f"no series matching {prefix!r} in {store.root}"
-        )
-    raise PipelineError(
-        f"series prefix {prefix!r} is ambiguous: "
-        f"{', '.join(m[:16] for m in matches)}"
-    )
-
-
-def _live_bytes(entries: list[dict], retired: set[int]) -> int:
-    """Accounted payload bytes of the live epochs (shared objects once)."""
-    union: dict[str, int] = {}
-    for entry in entries:
-        if entry["epoch"] in retired:
-            continue
-        union.update({digest: size for digest, size in entry["objects"]})
-    return sum(union.values())
-
-
-def _retired_union(entries: list[dict]) -> set[int]:
-    retired: set[int] = set()
-    for entry in entries:
-        retired.update(entry["retired"])
-    return retired
-
-
 def render_series_list(store: CampaignStore) -> str:
     """One line per stored series: epochs, health, live footprint."""
-    series_ids = store.list_series_ids()
-    if not series_ids:
+    rows = series_listing(store)
+    if not rows:
         return f"no series stored in {store.root}"
     out = []
-    for series in series_ids:
-        payload = store.load_series(series)
-        if payload is None:
-            out.append(f"{series[:16]}  (unreadable ledger)")
+    for row in rows:
+        if row.get("corrupt"):
+            out.append(f"{row['series'][:16]}  (unreadable ledger)")
             continue
-        entries = payload.get("entries", [])
-        retired = _retired_union(entries)
-        degraded = sum(
-            1 for entry in entries if entry["status"] != "ok"
-        )
-        unmet = sum(
-            1 for entry in entries if not entry["quota_met"]
-        )
         line = (
-            f"{series[:16]}  {len(entries)} epochs  "
-            f"{len(retired)} retired  "
-            f"live {_live_bytes(entries, retired)} bytes"
+            f"{row['series'][:16]}  {row['epochs']} epochs  "
+            f"{row['retired']} retired  "
+            f"live {row['live_bytes']} bytes"
         )
-        if degraded:
-            line += f"  {degraded} degraded"
-        if unmet:
-            line += f"  {unmet} quota-unmet"
+        if row["degraded"]:
+            line += f"  {row['degraded']} degraded"
+        if row["quota_unmet"]:
+            line += f"  {row['quota_unmet']} quota-unmet"
         out.append(line)
     return "\n".join(out)
 
@@ -127,7 +82,7 @@ def series_trend(
             f"series {series} not found in store {store.root}"
         )
     entries = payload.get("entries", [])
-    retired = _retired_union(entries)
+    retired = retired_epochs(entries)
 
     epochs: list[dict] = []
     layer_series: dict[str, dict] = {
@@ -293,13 +248,13 @@ def render_series_detail(
             f"series {series} not found in store {store.root}"
         )
     entries = payload.get("entries", [])
-    retired = _retired_union(entries)
+    retired = retired_epochs(entries)
     out = [
         f"series {series[:16]}",
         "=" * (7 + 16),
         f"epochs recorded: {len(entries)}   retired: "
         f"{len(retired)}   live payload: "
-        f"{_live_bytes(entries, retired)} bytes",
+        f"{live_bytes(entries)} bytes",
         "",
         "epoch  status               snapshot          campaign"
         "          objects      bytes  quota  state",

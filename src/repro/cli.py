@@ -745,23 +745,28 @@ def _cmd_longitudinal(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_campaign_id(store, prefix: str) -> str:
-    """Expand a campaign-id prefix against the store's manifests."""
+def _resolve_id(store, kind: str, prefix: str) -> str:
+    """Expand a campaign- or series-id prefix against the store's ids.
+
+    Matches over the id listing alone, as ``repro serve`` does, so a
+    damaged manifest or ledger never breaks the lookup of another one.
+    """
     from .errors import PipelineError
 
-    matches = [
-        manifest["campaign"]
-        for manifest in store.list_campaigns()
-        if manifest["campaign"].startswith(prefix)
-    ]
+    ids = (
+        store.list_campaign_ids()
+        if kind == "campaign"
+        else store.list_series_ids()
+    )
+    matches = [full for full in ids if full.startswith(prefix)]
     if len(matches) == 1:
         return matches[0]
     if not matches:
         raise PipelineError(
-            f"no campaign matching {prefix!r} in {store.root}"
+            f"no {kind} matching {prefix!r} in {store.root}"
         )
     raise PipelineError(
-        f"campaign prefix {prefix!r} is ambiguous: "
+        f"{kind} prefix {prefix!r} is ambiguous: "
         f"{', '.join(m[:16] for m in matches)}"
     )
 
@@ -810,7 +815,7 @@ def _cmd_measure(args: argparse.Namespace) -> int:
 
         store = CampaignStore(args.store)
         if args.since:
-            baseline = _resolve_campaign_id(store, args.since)
+            baseline = _resolve_id(store, "campaign", args.since)
     elif args.resume or args.since:
         raise PipelineError("--resume/--since require --store DIR")
     countries = spec.resolved_countries()
@@ -1139,7 +1144,7 @@ def _cmd_campaigns(args: argparse.Namespace) -> int:
     if args.subcommand == "show":
         import json as json_module
 
-        campaign = _resolve_campaign_id(store, args.campaign)
+        campaign = _resolve_id(store, "campaign", args.campaign)
         manifest = store.load_manifest(campaign)
         print(json_module.dumps(manifest, indent=2, sort_keys=True))
         return 0
@@ -1149,8 +1154,8 @@ def _cmd_campaigns(args: argparse.Namespace) -> int:
         print(
             render_campaign_diff(
                 store,
-                _resolve_campaign_id(store, args.campaign_a),
-                _resolve_campaign_id(store, args.campaign_b),
+                _resolve_id(store, "campaign", args.campaign_a),
+                _resolve_id(store, "campaign", args.campaign_b),
                 top=args.top,
             )
         )
@@ -1160,7 +1165,6 @@ def _cmd_campaigns(args: argparse.Namespace) -> int:
             render_series_detail,
             render_series_list,
             render_series_trend,
-            resolve_series_id,
             series_trend,
         )
 
@@ -1168,14 +1172,14 @@ def _cmd_campaigns(args: argparse.Namespace) -> int:
             print(render_series_list(store))
         elif args.trend:
             trend = series_trend(
-                store, resolve_series_id(store, args.series)
+                store, _resolve_id(store, "series", args.series)
             )
             print(render_series_trend(trend, top=args.top))
         else:
             print(
                 render_series_detail(
                     store,
-                    resolve_series_id(store, args.series),
+                    _resolve_id(store, "series", args.series),
                     top=args.top,
                 )
             )

@@ -13,8 +13,9 @@ The harness is the supervision layer's proof obligation: under every
 seeded chaos plan a campaign must terminate without manual
 intervention and — after supervisor retries plus at most one
 ``--resume`` — produce byte-identical CSV and metrics to a run that
-never saw the chaos.  The integration suite and the ``chaos-smoke``
-CI job assert exactly that.
+never saw the chaos.  The integration suite
+(``tests/integration/test_chaos.py``) and the CLI tests assert
+exactly that.
 
 Determinism matters as much here as in the fault plans: a chaos plan
 is a frozen, picklable value addressed by ``(country, attempt)``, so

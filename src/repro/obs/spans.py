@@ -13,7 +13,7 @@ campaign.  Every span carries **two** clocks:
 Only logical durations are deterministic; wall durations vary run to
 run and therefore never feed the metrics registry.  Finished spans are
 emitted as JSON Lines (a ``_schema`` header line, then one object per
-span) via :meth:`Tracer.write_jsonl`, a format that streams, greps,
+span) via :func:`write_spans_jsonl`, a format that streams, greps,
 and loads into dataframes without a schema negotiation.  Loading is
 versioned and typed: :func:`load_trace` raises
 :class:`~repro.errors.TraceFormatError` (or, when asked, skips) on
@@ -183,29 +183,12 @@ class Tracer:
         context.span = span
         return context
 
-    def write_jsonl(self, path: str | Path) -> int:
-        """Write finished spans as JSON Lines; returns the span count.
-
-        The first line is a ``{"_schema": TRACE_SCHEMA}`` header; it is
-        not counted and :func:`load_trace` never returns it.
-        """
-        path = Path(path)
-        with path.open("w", encoding="utf-8") as handle:
-            handle.write(json.dumps({"_schema": TRACE_SCHEMA}) + "\n")
-            for span in self._finished:
-                handle.write(
-                    json.dumps(span.to_dict(), sort_keys=True) + "\n"
-                )
-        return len(self._finished)
-
 
 def write_spans_jsonl(spans: list[dict], path: str | Path) -> int:
-    """Write already-serialized span dicts as JSON Lines.
+    """Write serialized span dicts as JSON Lines; returns the span count.
 
-    The dict twin of :meth:`Tracer.write_jsonl` (same formatting,
-    same ``_schema`` header line), for stitched multi-shard traces
-    where no single tracer holds the spans.  Returns the span count
-    (the header excluded).
+    The first line is a ``{"_schema": TRACE_SCHEMA}`` header; it is
+    not counted and :func:`load_trace` never returns it.
     """
     path = Path(path)
     with path.open("w", encoding="utf-8") as handle:

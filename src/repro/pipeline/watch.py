@@ -301,11 +301,11 @@ def plan_retirement(
     between planning and sweeping changes nothing — the resumed
     session re-plans identically and the sweep is idempotent.
     """
+    from ..store.series import retired_epochs, union_bytes
+
     if quota_bytes is None:
         return [], True
-    already_retired: set[int] = set()
-    for entry in prior_entries:
-        already_retired.update(entry["retired"])
+    already_retired = retired_epochs(prior_entries)
     live = [
         entry
         for entry in prior_entries
@@ -313,15 +313,12 @@ def plan_retirement(
     ]
     retired: list[int] = []
     while True:
-        union: dict[str, int] = {}
-        for entry in live:
-            union.update(
-                {digest: size for digest, size in entry["objects"]}
+        total = (
+            union_bytes(
+                [*(entry["objects"] for entry in live), current_objects]
             )
-        union.update(
-            {digest: size for digest, size in current_objects}
+            + pressure_bytes
         )
-        total = sum(union.values()) + pressure_bytes
         if total <= quota_bytes:
             return retired, True
         if not live:

@@ -29,7 +29,6 @@ from __future__ import annotations
 import hashlib
 import time
 
-from ..analysis.series import _live_bytes, _retired_union
 from ..analysis.storediff import manifest_snapshot
 from ..errors import (
     EmptyDistributionError,
@@ -41,6 +40,7 @@ from ..obs.log import get_logger
 from ..obs.metrics import MetricsRegistry
 from ..pipeline.records import LAYER_FIELDS
 from ..store.digest import canonical_json
+from ..store.series import retired_epochs, series_listing
 from ..store.store import CampaignStore
 from .materialize import Materializer
 
@@ -377,29 +377,7 @@ class ServeApi:
         }
 
     def _series_list(self) -> dict:
-        rows = []
-        for series in self.store.list_series_ids():
-            ledger = self.store.load_series(series)
-            if ledger is None:
-                rows.append({"series": series, "corrupt": True})
-                continue
-            entries = ledger.get("entries", [])
-            retired = _retired_union(entries)
-            rows.append(
-                {
-                    "series": series,
-                    "epochs": len(entries),
-                    "retired": len(retired),
-                    "live_bytes": _live_bytes(entries, retired),
-                    "degraded": sum(
-                        1 for e in entries if e["status"] != "ok"
-                    ),
-                    "quota_unmet": sum(
-                        1 for e in entries if not e["quota_met"]
-                    ),
-                }
-            )
-        return {"series": rows}
+        return {"series": series_listing(self.store)}
 
     def _trend(self, prefix: str) -> dict:
         matches = [
@@ -424,7 +402,7 @@ class ServeApi:
             raise ApiError(
                 404, "not_found", f"no series matching {prefix!r}"
             )
-        retired = _retired_union(ledger.get("entries", []))
+        retired = retired_epochs(ledger.get("entries", []))
         manifests: dict[str, dict] = {}
         for entry in ledger.get("entries", []):
             if entry["epoch"] in retired:

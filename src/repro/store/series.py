@@ -53,7 +53,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "SeriesLedger",
+    "live_bytes",
+    "retired_epochs",
     "series_id",
+    "series_listing",
+    "union_bytes",
     "validate_entry",
 ]
 
@@ -106,6 +110,66 @@ def validate_entry(entry: dict, epoch: int) -> None:
         raise PipelineError(
             "ledger entry object list must be sorted by digest"
         )
+
+
+def retired_epochs(entries: list[dict]) -> set[int]:
+    """Epochs some entry's retirement decision dropped."""
+    retired: set[int] = set()
+    for entry in entries:
+        retired.update(entry["retired"])
+    return retired
+
+
+def union_bytes(object_lists) -> int:
+    """Total bytes of ``[digest, bytes]`` lists, shared digests once.
+
+    Unchurned epochs share most of their shards, so a footprint is the
+    size of the digest union, not the sum of the lists.
+    """
+    union: dict[str, int] = {}
+    for objects in object_lists:
+        union.update(objects)
+    return sum(union.values())
+
+
+def live_bytes(entries: list[dict]) -> int:
+    """Accounted payload bytes of the live (unretired) epochs."""
+    retired = retired_epochs(entries)
+    return union_bytes(
+        entry["objects"]
+        for entry in entries
+        if entry["epoch"] not in retired
+    )
+
+
+def series_listing(store: "CampaignStore") -> list[dict]:
+    """One summary row per stored ledger, sorted by series id.
+
+    The rows behind ``repro campaigns series`` and ``GET /series``; an
+    unreadable ledger gets a ``{"series": id, "corrupt": true}`` row.
+    """
+    rows: list[dict] = []
+    for series in store.list_series_ids():
+        payload = store.load_series(series)
+        if payload is None:
+            rows.append({"series": series, "corrupt": True})
+            continue
+        entries = payload.get("entries", [])
+        rows.append(
+            {
+                "series": series,
+                "epochs": len(entries),
+                "retired": len(retired_epochs(entries)),
+                "live_bytes": live_bytes(entries),
+                "degraded": sum(
+                    1 for entry in entries if entry["status"] != "ok"
+                ),
+                "quota_unmet": sum(
+                    1 for entry in entries if not entry["quota_met"]
+                ),
+            }
+        )
+    return rows
 
 
 class SeriesLedger:
@@ -187,10 +251,7 @@ class SeriesLedger:
 
     def retired_epochs(self) -> set[int]:
         """Epochs some later entry's retirement decision dropped."""
-        retired: set[int] = set()
-        for entry in self.entries:
-            retired.update(entry["retired"])
-        return retired
+        return retired_epochs(self.entries)
 
     def live_entries(self) -> list[dict]:
         """Entries whose campaign manifests are still rooted."""

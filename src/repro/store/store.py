@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..errors import PipelineError, StoreCorruptionError
+from ..obs.metrics import render_metrics_json
 from ..pipeline.export import rows_from_csv_text, rows_to_csv_text
 from ..pipeline.parallel import CountryResult
 from .digest import digest_of
@@ -78,14 +79,22 @@ def encode_shard(result: CountryResult) -> dict:
 
     The ``quarantined`` marker is included only when set, so the
     digests of ordinary shards are unchanged from stores written
-    before quarantine existed.
+    before quarantine existed.  Spans are stored without ``wall_ms``,
+    the one field that varies run to run, so re-measuring an
+    instrumented shard key writes the object already stored.
     """
+    spans = None
+    if result.spans is not None:
+        spans = [
+            {name: value for name, value in span.items() if name != "wall_ms"}
+            for span in result.spans
+        ]
     payload = {
         "_schema": SHARD_SCHEMA,
         "country": result.country,
         "csv": rows_to_csv_text(result.rows),
         "metrics": result.metrics,
-        "spans": list(result.spans) if result.spans is not None else None,
+        "spans": spans,
         "injected_faults": result.injected_faults,
         "open_circuits": list(result.open_circuits),
     }
@@ -466,8 +475,7 @@ class CampaignStore:
         measurement metrics, and hit/miss counts differ by design.
         """
         _atomic_write_text(
-            self._store_metrics_path(campaign),
-            json.dumps(payload, sort_keys=True, indent=2) + "\n",
+            self._store_metrics_path(campaign), render_metrics_json(payload)
         )
 
     def load_store_metrics(self, campaign: str) -> dict | None:

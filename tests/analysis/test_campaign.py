@@ -13,6 +13,7 @@ from repro.obs import (
     Instrumentation,
     MetricsRegistry,
     merge_metrics_payloads,
+    write_spans_jsonl,
 )
 from repro.pipeline import MeasurementPipeline
 from repro.worldgen import World, WorldConfig
@@ -38,7 +39,9 @@ def artifacts(tmp_path_factory):
     metrics_path = out / "metrics.json"
     trace_path = out / "trace.jsonl"
     obs.registry.write_json(metrics_path)
-    obs.tracer.write_jsonl(trace_path)
+    write_spans_jsonl(
+        [span.to_dict() for span in obs.tracer.finished()], trace_path
+    )
     return metrics_path, trace_path
 
 
@@ -99,6 +102,14 @@ class TestRenderReport:
         assert "wall clock, from trace" not in bare
         assert "slowest stages (wall clock, from trace):" in traced
         assert "slowest stages (logical clock):" in traced
+        # spans reused from a store carry no wall time and count for none
+        stored = [
+            {key: value for key, value in span.items() if key != "wall_ms"}
+            for span in spans
+        ]
+        assert "wall clock, from trace" not in render_campaign_report(
+            metrics, spans=stored
+        )
 
     def test_top_bounds_nameserver_ranking(self, artifacts) -> None:
         metrics_path, _ = artifacts

@@ -8,6 +8,8 @@ the serve read path uses.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.analysis.series import render_series_trend, series_trend
@@ -15,6 +17,7 @@ from repro.analysis.storediff import dataset_from_manifest
 from repro.datasets.paper_scores import LAYERS
 from repro.errors import PipelineError
 from repro.pipeline import CampaignSpec, WatchSpec, run_watch
+from repro.serve.api import ServeApi, etag_of
 from repro.store import CampaignStore
 from repro.worldgen import ChurnConfig, WorldConfig
 
@@ -119,6 +122,21 @@ class TestTrendPayload:
         ]
         assert trend["providers"]["hosting"]["entries"] == expected_entries
         assert trend["providers"]["hosting"]["exits"] == expected_exits
+
+    def test_served_trend_revalidates(self, watch_store):
+        """``GET /series/{id}/trend`` serves this payload, ETagged."""
+        store, series = watch_store
+        api = ServeApi(store)
+        path = f"/series/{series[:12]}/trend"
+        first = api.handle(path)
+        assert first.status == 200
+        payload = json.loads(first.body)
+        assert payload["measurable_epochs"] == EPOCHS
+        assert payload["epochs"] == series_trend(store, series)["epochs"]
+        assert first.etag == etag_of(first.body)
+        revalidated = api.handle(path, if_none_match=first.etag)
+        assert revalidated.status == 304
+        assert revalidated.body == b""
 
     def test_unknown_series_raises(self, watch_store):
         store, _ = watch_store

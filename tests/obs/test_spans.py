@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.errors import TraceFormatError
-from repro.obs import TRACE_SCHEMA, Tracer, load_trace
+from repro.obs import TRACE_SCHEMA, Tracer, load_trace, write_spans_jsonl
 
 
 class _Clock:
@@ -78,7 +78,8 @@ class TestJsonl:
             with tracer.span("resolve"):
                 clock.now = 3.0
         path = tmp_path / "trace.jsonl"
-        assert tracer.write_jsonl(path) == 2
+        spans = [span.to_dict() for span in tracer.finished()]
+        assert write_spans_jsonl(spans, path) == 2
         # Every line is standalone JSON: a schema header, then spans.
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 3
@@ -96,7 +97,7 @@ class TestJsonl:
         with tracer.span("stage"):
             pass
         path = tmp_path / "t.jsonl"
-        tracer.write_jsonl(path)
+        write_spans_jsonl([s.to_dict() for s in tracer.finished()], path)
         (span,) = load_trace(path)
         assert span["wall_ms"] >= 0.0
 

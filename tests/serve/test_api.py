@@ -16,6 +16,27 @@ def api(served_store):
     return ServeApi(CampaignStore(served_store))
 
 
+def read_path_requests(campaign_ids) -> list[tuple[str, dict]]:
+    """Every URL kind of the read path, over both campaigns."""
+    base, evolved = campaign_ids
+    requests: list[tuple[str, dict]] = [("/campaigns", {})]
+    for campaign in (base, evolved):
+        requests.append((f"/campaigns/{campaign}", {}))
+        requests.append((f"/campaigns/{campaign}/layers", {}))
+        requests.extend(
+            (f"/campaigns/{campaign}/countries/{cc}", {})
+            for cc in ("BR", "DE", "US")
+        )
+    requests.append((f"/diff/{base}/{evolved}", {}))
+    requests.append(
+        (f"/whatif/{base}", {"knob": ["outage"], "provider": ["Cloudflare"]})
+    )
+    requests.append(
+        (f"/whatif/{base}", {"knob": ["schism"], "country": ["US"]})
+    )
+    return requests
+
+
 def get_json(api, path, query=None):
     response = api.handle(path, query)
     assert response.status == 200, response.body
@@ -77,11 +98,12 @@ class TestEtagRevalidation:
     def test_revalidated_request_reads_zero_shard_objects(
         self, served_store, campaign_ids
     ):
-        """The warm path never touches raw shard objects."""
-        base, _ = campaign_ids
+        """The warm path never touches raw shard objects, and a
+        restarted API serves every URL kind without a rebuild."""
         store = CampaignStore(served_store)
         api = ServeApi(store)
-        warm = api.handle(f"/campaigns/{base}")  # build + cache
+        requests = read_path_requests(campaign_ids)
+        warm = [api.handle(path, query) for path, query in requests]
         reads: list[str] = []
         original = store.get_object
 
@@ -91,15 +113,26 @@ class TestEtagRevalidation:
 
         store.get_object = counting_get_object  # type: ignore[method-assign]
         try:
-            revalidated = api.handle(
-                f"/campaigns/{base}", if_none_match=warm.etag
-            )
-            assert revalidated.status == 304
-            full = api.handle(f"/campaigns/{base}")
-            assert full.status == 200
+            for (path, query), first in zip(requests, warm):
+                revalidated = api.handle(
+                    path, query, if_none_match=first.etag
+                )
+                assert revalidated.status == 304, path
+                full = api.handle(path, query)
+                assert full.status == 200, path
         finally:
             del store.get_object
         assert reads == []
+
+        registry = MetricsRegistry()
+        restarted = ServeApi(CampaignStore(served_store), registry)
+        for (path, query), first in zip(requests, warm):
+            again = restarted.handle(path, query)
+            assert (again.body, again.etag) == (first.body, first.etag)
+        outcomes = registry.get("repro_serve_materialize_total")
+        for kind in ("campaign", "diff", "whatif"):
+            assert outcomes.value(kind=kind, outcome="disk") > 0, kind
+            assert outcomes.value(kind=kind, outcome="build") == 0, kind
 
 
 class TestDeterminism:

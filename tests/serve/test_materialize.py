@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.materialize import (
@@ -76,37 +77,58 @@ class TestDerivedStore:
 
 
 class TestMaterializer:
-    def test_build_then_memory_then_disk(self, served_store):
-        registry = MetricsRegistry()
+    def test_build_then_memory_then_disk(self, served_store, campaign_ids):
         store = store_of(served_store)
-        materializer = Materializer(store, registry)
-        campaign, manifest = only_campaign(store)
-        key = derived_key(
-            "campaign", {"manifest": digest_of(manifest)}
-        )
-        for path in (store._derived / f"{key}.json",):
-            path.unlink(missing_ok=True)  # force a true cold build
+        base, evolved = campaign_ids
+        manifest_a = store.load_manifest(base)
+        manifest_b = store.load_manifest(evolved)
+        # one call per payload kind behind the read path's URLs
+        calls = [
+            ("campaign", lambda m: m.summary(base, manifest_a)),
+            ("campaign", lambda m: m.summary(evolved, manifest_b)),
+            (
+                "diff",
+                lambda m: m.diff(base, evolved, manifest_a, manifest_b),
+            ),
+            (
+                "whatif",
+                lambda m: m.whatif(
+                    base,
+                    manifest_a,
+                    "outage",
+                    {"provider": "Cloudflare", "layer": "hosting"},
+                ),
+            ),
+            (
+                "whatif",
+                lambda m: m.whatif(
+                    base, manifest_a, "schism", {"country": "US"}
+                ),
+            ),
+        ]
+        kinds = Counter(kind for kind, _ in calls)
+        for path in store._derived.glob("*.json"):
+            path.unlink()  # force true cold builds
 
-        first = materializer.summary(campaign, manifest)
-        again = materializer.summary(campaign, manifest)
-        assert first == again
+        registry = MetricsRegistry()
+        materializer = Materializer(store, registry)
+        first = [call(materializer) for _, call in calls]
+        assert [call(materializer) for _, call in calls] == first
         outcomes = registry.get("repro_serve_materialize_total")
-        assert outcomes.value(kind="campaign", outcome="build") == 1
-        assert outcomes.value(kind="campaign", outcome="memory") == 1
+        for kind, count in kinds.items():
+            assert outcomes.value(kind=kind, outcome="build") == count
+            assert outcomes.value(kind=kind, outcome="memory") == count
 
         # a fresh materializer over the same store hits disk, not build
         second_registry = MetricsRegistry()
         restarted = Materializer(store, second_registry)
-        assert restarted.summary(campaign, manifest) == first
+        assert [call(restarted) for _, call in calls] == first
         second_outcomes = second_registry.get(
             "repro_serve_materialize_total"
         )
-        assert (
-            second_outcomes.value(kind="campaign", outcome="disk") == 1
-        )
-        assert (
-            second_outcomes.value(kind="campaign", outcome="build") == 0
-        )
+        for kind, count in kinds.items():
+            assert second_outcomes.value(kind=kind, outcome="disk") == count
+            assert second_outcomes.value(kind=kind, outcome="build") == 0
 
     def test_manifest_change_invalidates(self, served_store):
         store = store_of(served_store)

@@ -118,6 +118,26 @@ class TestResume:
             uninterrupted.metrics
         )
 
+    def test_instrumented_reruns_write_identical_objects(
+        self, tmp_path: Path
+    ) -> None:
+        # Stored spans carry no wall time, so measuring the same
+        # instrumented campaign twice writes the same objects, index
+        # entries and manifest.
+        trees = []
+        for name in ("first", "second"):
+            root = tmp_path / name
+            run_campaign(SPEC, workers=1, store=CampaignStore(root))
+            trees.append(
+                {
+                    path.relative_to(root).as_posix(): path.read_bytes()
+                    for path in sorted(root.rglob("*.json"))
+                    if not path.name.endswith(".store.json")
+                }
+            )
+        assert len(trees[0]) == 2 * len(CONFIG.countries) + 1
+        assert trees[0] == trees[1]
+
     def test_resume_of_complete_campaign_measures_nothing(
         self, uninterrupted, tmp_path: Path
     ) -> None:

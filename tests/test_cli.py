@@ -354,10 +354,21 @@ class TestVersion:
 
 @pytest.fixture(scope="module")
 def store_workflow(tmp_path_factory):
-    """One full CLI store workflow: halt, resume, evolve --since."""
+    """One full CLI store workflow: halt, resume, evolve --since.
+
+    The halt and the resume run as ``python -m repro`` processes, so
+    their exit statuses are the ones a shell sees.  A chunked sharded
+    run rides along against the same serial reference.
+    """
     import contextlib
     import io
+    import os
     import re
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
 
     root = tmp_path_factory.mktemp("cli-store")
     store = root / "store"
@@ -368,6 +379,22 @@ def store_workflow(tmp_path_factory):
             code = main(argv)
         configure()
         return code, buffer.getvalue()
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, env.get("PYTHONPATH")))
+    )
+
+    def run_process(argv: list[str]) -> tuple[int, str]:
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        return done.returncode, done.stdout
 
     base = [
         "measure",
@@ -381,13 +408,17 @@ def store_workflow(tmp_path_factory):
     run(base + ["--export", str(full_csv),
                 "--metrics-out", str(full_metrics)])
 
+    run(base + ["--workers", "2", "--chunk-size", "2",
+                "--export", str(root / "chunked.csv"),
+                "--metrics-out", str(root / "chunked-m.json")])
+
     stored = base + ["--store", str(store)]
-    halted_code, halted_out = run(
+    halted_code, halted_out = run_process(
         stored + ["--halt-after", "1",
                   "--metrics-out", str(root / "halted-m.json")]
     )
     resumed_csv = root / "resumed.csv"
-    resumed_code, resumed_out = run(
+    resumed_code, resumed_out = run_process(
         stored + ["--resume", "--export", str(resumed_csv),
                   "--metrics-out", str(root / "m.json")]
     )
@@ -435,6 +466,19 @@ class TestCampaignStoreCli:
     def test_resume_metrics_byte_identical(self, store_workflow) -> None:
         assert (
             (store_workflow["root"] / "m.json").read_bytes()
+            == store_workflow["full_metrics"].read_bytes()
+        )
+
+    def test_chunked_sharded_run_matches_serial(
+        self, store_workflow
+    ) -> None:
+        root = store_workflow["root"]
+        assert (
+            (root / "chunked.csv").read_bytes()
+            == store_workflow["full_csv"].read_bytes()
+        )
+        assert (
+            (root / "chunked-m.json").read_bytes()
             == store_workflow["full_metrics"].read_bytes()
         )
 
@@ -798,6 +842,14 @@ class TestLazyListCli:
         lines = captured.out.strip().splitlines()
         assert len(lines) == 1
         assert "complete" in lines[0]
+        # ...and still resolves by prefix for show and diff
+        healthy = lines[0].split()[0]
+        show = ["campaigns", "--store", str(store_dir), "show", healthy]
+        assert main(show) == 0
+        assert json.loads(capsys.readouterr().out)["complete"] is True
+        diff = ["campaigns", "--store", str(store_dir), "diff"]
+        assert main(diff + [healthy, healthy]) == 0
+        assert "1 reused, 0 re-measured" in capsys.readouterr().out
 
 
 class TestSeriesTrendCli:
@@ -837,6 +889,72 @@ class TestSeriesTrendCli:
         assert "consolidation trend" in out
         assert "epochs recorded: 2   measurable: 2" in out
         assert "mean centralization" in out
+
+
+class TestWatchCli:
+    """`repro watch` through ``main()``: hard kills exit 9, SIGTERM
+    exits 6, and ``--resume-series`` converges to a clean run."""
+
+    WATCH = [
+        "watch",
+        "--epochs", "4",
+        "--sites", "60",
+        "--countries", "US", "TH",
+        "--churn-countries", "TH",
+        "--fault-profile", "flaky-dns",
+        "--fault-seed", "7",
+        "--retries", "3",
+    ]
+
+    def test_battered_series_converges(self, capsys, tmp_path) -> None:
+        def watch(name: str, *extra: str) -> int:
+            return main(
+                self.WATCH
+                + ["--store", str(tmp_path / name / "store")]
+                + ["--export-dir", str(tmp_path / name / "epochs")]
+                + list(extra)
+            )
+
+        def artifacts(name: str) -> dict[str, bytes]:
+            root = tmp_path / name
+            paths = [
+                *(root / "store" / "series").glob("*.json"),
+                *(root / "epochs").glob("epoch-*.csv"),
+            ]
+            return {
+                path.name: path.read_bytes()
+                for path in paths
+                if not path.name.endswith(".watch.json")
+            }
+
+        assert watch("clean") == 0
+        # One kill profile per session: a hard kill re-fires whenever
+        # its phase is re-attempted.  The seeds land the kills
+        # mid-measure at epoch 0, mid-gc at epoch 1, boundary at 2.
+        chaos = "--watch-chaos"
+        seed = "--watch-chaos-seed"
+        resume = "--resume-series"
+        assert watch("battered", chaos, "kill-mid-measure", seed, "0") == 9
+        assert watch("battered", resume, chaos, "kill-mid-gc", seed, "0") == 9
+        assert watch("battered", resume, chaos, "kill-boundary", seed, "3") == 9
+        assert watch("battered", resume) == 0
+        assert watch("sigterm", chaos, "sigterm-boundary", seed, "0") == 6
+        assert watch("sigterm", resume) == 0
+        clean = artifacts("clean")
+        assert len(clean) == 5  # the ledger and four epoch CSVs
+        assert artifacts("battered") == clean
+        assert artifacts("sigterm") == clean
+
+        capsys.readouterr()
+        store = str(tmp_path / "battered" / "store")
+        assert main(["campaigns", "--store", store, "series"]) == 0
+        assert "4 epochs  0 retired" in capsys.readouterr().out
+        (ledger,) = (name for name in clean if not name.endswith(".csv"))
+        series = ["campaigns", "--store", store, "series", ledger[:12]]
+        assert main(series) == 0
+        assert "epochs recorded: 4" in capsys.readouterr().out
+        assert main(["campaigns", "--store", store, "gc", "--dry-run"]) == 0
+        assert "would remove" in capsys.readouterr().out
 
 
 class TestServeCli:
