@@ -16,7 +16,6 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from ..errors import InvalidDistributionError
 
@@ -103,6 +102,10 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
         raise InvalidDistributionError(
             "correlation undefined for a constant sequence"
         )
+    # Imported here: scipy.stats costs most of a second and a few dozen
+    # MB, and only the correlation analyses need it.
+    from scipy import stats
+
     result = stats.pearsonr(xa, ya)
     rho = float(result.statistic)
     return CorrelationResult(
@@ -120,6 +123,8 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
         raise InvalidDistributionError(
             "correlation undefined for a constant sequence"
         )
+    from scipy import stats
+
     rho, p_value = stats.spearmanr(xa, ya)
     rho = float(rho)
     return CorrelationResult(

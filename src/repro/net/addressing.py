@@ -2,8 +2,8 @@
 
 The substrate beneath pfx2as, geolocation, and anycast labeling.
 Addresses are plain integers internally (fast for millions of lookups);
-:class:`Prefix` handles parsing/formatting, :class:`PrefixTrie` is a
-binary trie supporting longest-prefix match, and
+:class:`Prefix` handles parsing/formatting, :class:`PrefixTrie` answers
+longest-prefix match from a flat interval table, and
 :class:`PrefixAllocator` hands out non-overlapping blocks the way an
 RIR would.
 """
@@ -11,6 +11,7 @@ RIR would.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Generic, TypeVar
@@ -136,92 +137,87 @@ class Prefix:
         return f"{int_to_ip(self.network)}/{self.length}"
 
 
-class _TrieNode(Generic[V]):
-    __slots__ = ("children", "value", "has_value")
-
-    def __init__(self) -> None:
-        self.children: list[_TrieNode[V] | None] = [None, None]
-        self.value: V | None = None
-        self.has_value = False
-
-
 class PrefixTrie(Generic[V]):
-    """Binary trie keyed by IPv4 prefixes with longest-prefix match.
+    """IPv4 prefixes with longest-prefix match, answered from a flat table.
 
     The canonical structure behind pfx2as and prefix-based geolocation.
+    Entries are kept in a dict; the first lookup after an insert
+    flattens them into sorted, disjoint address intervals, each labelled
+    with its innermost covering prefix, so a lookup is one ``bisect``
+    instead of a walk down 32 bit-levels.
     """
 
     def __init__(self) -> None:
-        self._root: _TrieNode[V] = _TrieNode()
-        self._count = 0
+        self._entries: dict[tuple[int, int], V] = {}
+        # Interval starts (ascending, the first is 0), and per interval
+        # the innermost covering (network, length) key and its value;
+        # None until the first lookup after an insert.
+        self._starts: list[int] | None = None
+        self._keys: list[tuple[int, int] | None] = []
+        self._values: list[V | None] = []
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._entries)
 
     def insert(self, prefix: Prefix, value: V) -> None:
         """Insert or overwrite the value at ``prefix``."""
-        node = self._root
-        for depth in range(prefix.length):
-            bit = (prefix.network >> (31 - depth)) & 1
-            nxt = node.children[bit]
-            if nxt is None:
-                nxt = _TrieNode()
-                node.children[bit] = nxt
-            node = nxt
-        if not node.has_value:
-            self._count += 1
-        node.value = value
-        node.has_value = True
+        self._entries[(prefix.network, prefix.length)] = value
+        self._starts = None
+
+    def _flatten(self) -> list[int]:
+        # Prefixes nest or are disjoint, so one sweep in (network,
+        # length) order with a stack of the open enclosing prefixes
+        # yields every boundary: a prefix opens at its first address
+        # and hands the rest of its parent back at its end.
+        starts: list[int] = [0]
+        keys: list[tuple[int, int] | None] = [None]
+
+        def mark(address: int, key: tuple[int, int] | None) -> None:
+            if starts[-1] == address:
+                keys[-1] = key
+            elif address <= _MAX:
+                starts.append(address)
+                keys.append(key)
+
+        enclosing: list[tuple[int, tuple[int, int]]] = []
+        for key in sorted(self._entries):
+            network, length = key
+            while enclosing and enclosing[-1][0] <= network:
+                end, _ = enclosing.pop()
+                mark(end, enclosing[-1][1] if enclosing else None)
+            mark(network, key)
+            enclosing.append((network + (1 << (32 - length)), key))
+        while enclosing:
+            end, _ = enclosing.pop()
+            mark(end, enclosing[-1][1] if enclosing else None)
+
+        entries = self._entries
+        self._keys = keys
+        self._values = [None if k is None else entries[k] for k in keys]
+        self._starts = starts
+        return starts
 
     def lookup(self, address: int) -> V | None:
         """Longest-prefix match for an address; None when uncovered."""
-        node = self._root
-        best: V | None = node.value if node.has_value else None
-        for depth in range(32):
-            bit = (address >> (31 - depth)) & 1
-            nxt = node.children[bit]
-            if nxt is None:
-                break
-            node = nxt
-            if node.has_value:
-                best = node.value
-        return best
+        starts = self._starts
+        if starts is None:
+            starts = self._flatten()
+        return self._values[bisect_right(starts, address) - 1]
 
     def lookup_prefix(self, address: int) -> tuple[Prefix, V] | None:
         """Longest matching (prefix, value) pair; None when uncovered."""
-        node = self._root
-        best: tuple[Prefix, V] | None = None
-        if node.has_value:
-            best = (Prefix(0, 0), node.value)  # type: ignore[arg-type]
-        bits = 0
-        for depth in range(32):
-            bit = (address >> (31 - depth)) & 1
-            nxt = node.children[bit]
-            if nxt is None:
-                break
-            node = nxt
-            bits = depth + 1
-            if node.has_value:
-                network = address & ((_MAX << (32 - bits)) & _MAX)
-                best = (Prefix(network, bits), node.value)  # type: ignore[arg-type]
-        return best
+        starts = self._starts
+        if starts is None:
+            starts = self._flatten()
+        key = self._keys[bisect_right(starts, address) - 1]
+        if key is None:
+            return None
+        return Prefix(*key), self._entries[key]
 
     def items(self) -> Iterator[tuple[Prefix, V]]:
-        """All (prefix, value) pairs in depth-first order."""
-
-        def walk(
-            node: _TrieNode[V], network: int, depth: int
-        ) -> Iterator[tuple[Prefix, V]]:
-            if node.has_value:
-                yield Prefix(network, depth), node.value  # type: ignore[misc]
-            for bit in (0, 1):
-                child = node.children[bit]
-                if child is not None:
-                    yield from walk(
-                        child, network | (bit << (31 - depth)), depth + 1
-                    )
-
-        yield from walk(self._root, 0, 0)
+        """All (prefix, value) pairs by ascending network, then length."""
+        for key in sorted(self._entries):
+            yield Prefix(*key), self._entries[key]
 
 
 class PrefixAllocator:

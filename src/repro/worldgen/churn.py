@@ -79,9 +79,13 @@ def derive_overrides(
     ``S_new ≈ S_old + (cf_new^2 - cf_old^2)`` — the XL-GP term dominates
     score changes (Section 5.2's rho=0.90 coupling) — except where the
     paper publishes the 2025 score directly.  When the churn config
-    restricts churn to a country subset, only those countries' targets
-    drift; everyone else keeps the old snapshot's calibration (their
-    toplists carry byte-identically anyway).
+    restricts churn to a country subset, only those countries get
+    overrides.  Every other country's targets come from its templates
+    without an override: the old snapshot's targets when that snapshot
+    had none for it either (epoch 0, or an unchurned country of a
+    restricted step), but re-derived from the unshifted templates after
+    an unrestricted step.  Its toplist and records carry over
+    byte-identically either way.
     """
     c = old_world.config.sites_per_country
     churned = (
@@ -94,8 +98,8 @@ def derive_overrides(
     for cc in old_world.config.countries:
         if cc == "JP" or cc not in churned:
             # Japan's Amazon-led market is not modeled through the
-            # Cloudflare-delta mechanism; its snapshot stays put.
-            # Unchurned countries keep their old calibration entirely.
+            # Cloudflare-delta mechanism; unchurned countries get no
+            # drift.  Neither gets an override.
             continue
         old_counts = old_world.targets[cc]["hosting"]
         cf_old = old_counts.get(CLOUDFLARE, 0) / c
@@ -176,6 +180,7 @@ def evolve(old_world: World, churn: ChurnConfig | None = None) -> World:
         pool_order=tuple(old_world.global_pool_domains),
         kept_local=kept_local,
         kept_toplists=kept_toplists,
+        calibrations=old_world.calibrations,
     )
     new_config = replace(
         old_world.config,

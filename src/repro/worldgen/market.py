@@ -9,6 +9,7 @@ during world materialization.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from ..datasets.countries import COUNTRIES, country
@@ -52,6 +53,95 @@ def _brand(cc: str, index: int) -> str:
     return f"{a.capitalize()}{b} {cc}"
 
 
+@functools.cache
+def _dataset_roster() -> tuple:
+    """The dataset-derived providers and per-country pools, built once
+    per process: (name index, large, small and DNS-only regional pools
+    by country, small-global pool)."""
+    providers: dict[str, Provider] = {}
+    local_large: dict[str, list[Provider]] = {}
+    local_small: dict[str, list[Provider]] = {}
+    local_dns: dict[str, list[Provider]] = {}
+
+    def add(provider: Provider) -> Provider:
+        return providers.setdefault(provider.name, provider)
+
+    def add_seed(seed: ProviderSeed, dns_only: bool = False) -> Provider:
+        return add(
+            Provider(
+                name=seed.name,
+                home_country=seed.home_country,
+                anycast=seed.anycast,
+                offers_hosting=not dns_only,
+                offers_dns=seed.offers_dns,
+                seeded_tier=seed.tier,
+            )
+        )
+
+    for seed in GLOBAL_HOSTING_SEEDS:
+        add_seed(seed)
+    for seed in GLOBAL_DNS_SEEDS:
+        add_seed(seed, dns_only=True)
+    for seed in NAMED_REGIONAL_SEEDS:
+        provider = add_seed(seed)
+        home = provider.home_country
+        if home in COUNTRIES:
+            pool = local_large if seed.tier == "L-RP" else local_small
+            pool.setdefault(home, []).append(provider)
+
+    # Fabricated small-global providers, HQ'd mostly in the US with
+    # some in Western Europe (mirrors the real market).
+    hq_cycle = ("US", "US", "US", "US", "DE", "NL", "GB", "US", "FR", "US")
+    small_global = tuple(
+        add(
+            Provider(
+                name=f"GlobalEdge {i:03d}",
+                home_country=hq_cycle[i % len(hq_cycle)],
+            )
+        )
+        for i in range(ProviderMarket.SMALL_GLOBAL_POOL_SIZE)
+    )
+
+    # Per-country regional pools.
+    for cc in COUNTRIES:
+        name = country(cc).name
+        large = local_large.setdefault(cc, [])
+        while len(large) < 4:
+            idx = len(large)
+            label = (
+                f"{name} Hosting"
+                if idx == 0
+                else f"{name} Telecom"
+                if idx == 1
+                else _brand(cc, idx)
+            )
+            large.append(add(Provider(name=label, home_country=cc)))
+        small = local_small.setdefault(cc, [])
+        while len(small) < 6:
+            small.append(
+                add(Provider(name=_brand(cc, 10 + len(small)), home_country=cc))
+            )
+        dns = local_dns.setdefault(cc, [])
+        while len(dns) < 3:
+            dns.append(
+                add(
+                    Provider(
+                        name=f"{_brand(cc, 20 + len(dns))} DNS",
+                        home_country=cc,
+                        offers_hosting=False,
+                    )
+                )
+            )
+
+    return (
+        providers,
+        {cc: tuple(pool) for cc, pool in local_large.items()},
+        {cc: tuple(pool) for cc, pool in local_small.items()},
+        {cc: tuple(pool) for cc, pool in local_dns.items()},
+        small_global,
+    )
+
+
 class ProviderMarket:
     """Registry of all providers with per-country pools.
 
@@ -65,108 +155,23 @@ class ProviderMarket:
       fabricated regional providers.
     * ``tail_provider(cc, i)`` — on-demand extra-small regional
       providers (the XS-RP long tail).
+
+    The dataset-derived roster (everything but the tail) is built once
+    per process; each market holds its own name index, which only
+    :meth:`tail_provider` extends.
     """
 
     SMALL_GLOBAL_POOL_SIZE = 110
 
     def __init__(self) -> None:
-        self._providers: dict[str, Provider] = {}
-        self._local_large: dict[str, list[Provider]] = {}
-        self._local_small: dict[str, list[Provider]] = {}
-        self._local_dns: dict[str, list[Provider]] = {}
-        self._small_global: list[Provider] = []
-        self._build()
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-
-    def _add(self, provider: Provider) -> Provider:
-        existing = self._providers.get(provider.name)
-        if existing is not None:
-            return existing
-        self._providers[provider.name] = provider
-        return provider
-
-    def _add_seed(self, seed: ProviderSeed, dns_only: bool = False) -> Provider:
-        return self._add(
-            Provider(
-                name=seed.name,
-                home_country=seed.home_country,
-                anycast=seed.anycast,
-                offers_hosting=not dns_only,
-                offers_dns=seed.offers_dns,
-                seeded_tier=seed.tier,
-            )
-        )
-
-    def _build(self) -> None:
-        for seed in GLOBAL_HOSTING_SEEDS:
-            self._add_seed(seed)
-        for seed in GLOBAL_DNS_SEEDS:
-            self._add_seed(seed, dns_only=True)
-        for seed in NAMED_REGIONAL_SEEDS:
-            provider = self._add_seed(seed)
-            home = provider.home_country
-            if home in COUNTRIES:
-                pool = (
-                    self._local_large
-                    if seed.tier == "L-RP"
-                    else self._local_small
-                )
-                pool.setdefault(home, []).append(provider)
-
-        # Fabricated small-global providers, HQ'd mostly in the US with
-        # some in Western Europe (mirrors the real market).
-        hq_cycle = ("US", "US", "US", "US", "DE", "NL", "GB", "US", "FR", "US")
-        for i in range(self.SMALL_GLOBAL_POOL_SIZE):
-            hq = hq_cycle[i % len(hq_cycle)]
-            provider = self._add(
-                Provider(
-                    name=f"GlobalEdge {i:03d}",
-                    home_country=hq,
-                    seeded_tier=None,
-                )
-            )
-            self._small_global.append(provider)
-
-        # Per-country regional pools.
-        for cc in COUNTRIES:
-            name = country(cc).name
-            large = self._local_large.setdefault(cc, [])
-            while len(large) < 4:
-                idx = len(large)
-                label = (
-                    f"{name} Hosting"
-                    if idx == 0
-                    else f"{name} Telecom"
-                    if idx == 1
-                    else _brand(cc, idx)
-                )
-                large.append(
-                    self._add(Provider(name=label, home_country=cc))
-                )
-            small = self._local_small.setdefault(cc, [])
-            while len(small) < 6:
-                small.append(
-                    self._add(
-                        Provider(
-                            name=_brand(cc, 10 + len(small)),
-                            home_country=cc,
-                        )
-                    )
-                )
-            dns = self._local_dns.setdefault(cc, [])
-            while len(dns) < 3:
-                dns.append(
-                    self._add(
-                        Provider(
-                            name=f"{_brand(cc, 20 + len(dns))} DNS",
-                            home_country=cc,
-                            offers_hosting=False,
-                        )
-                    )
-                )
+        (
+            providers,
+            self._local_large,
+            self._local_small,
+            self._local_dns,
+            self._small_global,
+        ) = _dataset_roster()
+        self._providers: dict[str, Provider] = dict(providers)
 
     # ------------------------------------------------------------------
     # Lookups
@@ -220,4 +225,5 @@ class ProviderMarket:
         existing = self._providers.get(name)
         if existing is not None:
             return existing
-        return self._add(Provider(name=name, home_country=cc))
+        provider = self._providers[name] = Provider(name=name, home_country=cc)
+        return provider

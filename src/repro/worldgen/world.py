@@ -144,6 +144,9 @@ class EvolutionPlan:
     churn — those countries skip every stochastic draw and reproduce
     the old snapshot's toplist byte-identically, which is what lets
     incremental re-measurement reuse their stored results.
+    ``calibrations`` is the old world's :attr:`World.calibrations`: a
+    (country, layer) whose template comes out bit-equal reuses the
+    solved targets instead of calibrating again.
     """
 
     overrides: ProfileOverrides
@@ -151,6 +154,24 @@ class EvolutionPlan:
     pool_order: tuple[str, ...]
     kept_local: dict[str, tuple["SiteRecord", ...]]
     kept_toplists: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    calibrations: dict[tuple[str, str], "Calibration"] = field(
+        default_factory=dict
+    )
+
+
+@dataclass(frozen=True)
+class Calibration:
+    """One solved (country, layer) calibration and the inputs it solved.
+
+    ``inputs`` is everything :func:`calibrate_shares` and the count
+    allocation read: the template's share-vector bytes, its names in
+    order, its target score and ``sites_per_country``.  Equal inputs
+    give bit-equal ``target`` and ``report``.
+    """
+
+    inputs: tuple[bytes, tuple[str, ...], float, int]
+    target: dict[str, int]
+    report: dict[str, float]
 
 
 class World:
@@ -191,6 +212,9 @@ class World:
         self.calibration_report: dict[tuple[str, str], dict[str, float]] = {}
         #: country -> layer -> provider/CA/TLD -> target site count.
         self.targets: dict[str, dict[str, dict[str, int]]] = {}
+        #: (country, layer) -> the calibration behind its targets, for
+        #: the next snapshot of a churn chain to reuse.
+        self.calibrations: dict[tuple[str, str], Calibration] = {}
         self._domains = DomainFactory(self.config.seed ^ 0x5EED)
 
         self._build()
@@ -247,23 +271,35 @@ class World:
         self, templates: dict[tuple[str, str], LayerTemplate]
     ) -> None:
         c = self.config.sites_per_country
+        carried = self._plan.calibrations if self._plan is not None else {}
         for (cc, layer), template in templates.items():
-            outcome = calibrate_shares(
-                template.shares(), template.target_score, c
-            )
-            counts = allocate_counts(outcome.shares, c)
+            shares = template.shares()
             names = template.names()
-            target = {
-                names[i]: int(n) for i, n in enumerate(counts) if n > 0
-            }
-            self.targets.setdefault(cc, {})[layer] = target
-            shares = counts / counts.sum()
-            self.calibration_report[(cc, layer)] = {
-                "theta": outcome.theta,
-                "target_score": template.target_score,
-                "calibrated_score": outcome.achieved_score,
-                "allocated_score": float(shares @ shares - 1.0 / c),
-            }
+            inputs = (shares.tobytes(), names, template.target_score, c)
+            calibration = carried.get((cc, layer))
+            if calibration is None or calibration.inputs != inputs:
+                outcome = calibrate_shares(shares, template.target_score, c)
+                counts = allocate_counts(outcome.shares, c)
+                allocated = counts / counts.sum()
+                calibration = Calibration(
+                    inputs=inputs,
+                    target={
+                        names[i]: int(n)
+                        for i, n in enumerate(counts)
+                        if n > 0
+                    },
+                    report={
+                        "theta": outcome.theta,
+                        "target_score": template.target_score,
+                        "calibrated_score": outcome.achieved_score,
+                        "allocated_score": float(
+                            allocated @ allocated - 1.0 / c
+                        ),
+                    },
+                )
+            self.calibrations[(cc, layer)] = calibration
+            self.targets.setdefault(cc, {})[layer] = dict(calibration.target)
+            self.calibration_report[(cc, layer)] = dict(calibration.report)
 
     # -- global shared pool --------------------------------------------
 

@@ -37,30 +37,65 @@ class TestAddressingProperties:
         assert prefix.contains(prefix.first)
         assert prefix.contains(prefix.last)
 
-    @given(st.lists(st.tuples(addresses, prefix_lengths), max_size=30), addresses)
+    @given(
+        st.lists(
+            st.tuples(addresses, prefix_lengths, st.booleans(), addresses),
+            max_size=30,
+        ),
+        addresses,
+    )
+    @example(raw=[(7, 0, False, 9), (0, 8, False, 1), (0, 0, True, 3)], probe=5)
     def test_trie_agrees_with_linear_scan(
-        self, raw: list[tuple[int, int]], probe: int
+        self, raw: list[tuple[int, int, bool, int]], probe: int
     ) -> None:
-        """Longest-prefix match == brute-force scan over all prefixes."""
+        """Longest-prefix match == brute-force scan over all prefixes.
+
+        Lookups run between inserts (a stale table must never answer),
+        a ``True`` flag re-inserts the previous prefix with a new value
+        (an overwrite), and ``lookup_prefix`` must name the innermost
+        covering prefix.
+        """
         trie: PrefixTrie[int] = PrefixTrie()
-        prefixes: list[tuple[Prefix, int]] = []
         seen: dict[tuple[int, int], int] = {}
-        for i, (address, length) in enumerate(raw):
-            network = address & ((((1 << 32) - 1) << (32 - length)) & ((1 << 32) - 1))
+
+        def check(address: int) -> None:
+            covering = [
+                (length, (net, length), value)
+                for (net, length), value in seen.items()
+                if Prefix(net, length).contains(address)
+            ]
+            innermost = max(covering, default=None)
+            match = trie.lookup_prefix(address)
+            if innermost is None:
+                assert trie.lookup(address) is None
+                assert match is None
+            else:
+                _, key, value = innermost
+                assert trie.lookup(address) == value
+                assert match == (Prefix(*key), value)
+
+        previous: tuple[int, int] | None = None
+        for i, (address, length, overwrite, between) in enumerate(raw):
+            if overwrite and previous is not None:
+                network, length = previous
+            else:
+                network = address & (
+                    (((1 << 32) - 1) << (32 - length)) & ((1 << 32) - 1)
+                )
             prefix = Prefix(network, length)
             trie.insert(prefix, i)
             seen[(network, length)] = i
-        prefixes = [
-            (Prefix(net, length), value)
-            for (net, length), value in seen.items()
+            previous = (network, length)
+            for address_after in (between, prefix.first, prefix.last):
+                check(address_after)
+            if prefix.last < (1 << 32) - 1:
+                check(prefix.last + 1)
+        check(probe)
+        assert len(trie) == len(seen)
+        assert [(p.network, p.length, v) for p, v in trie.items()] == [
+            (net, length, seen[(net, length)])
+            for net, length in sorted(seen)
         ]
-        expected = None
-        best_len = -1
-        for prefix, value in prefixes:
-            if prefix.contains(probe) and prefix.length > best_len:
-                best_len = prefix.length
-                expected = value
-        assert trie.lookup(probe) == expected
 
     @given(st.lists(st.integers(min_value=8, max_value=30), max_size=40))
     def test_allocator_never_overlaps(self, lengths: list[int]) -> None:

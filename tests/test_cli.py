@@ -352,6 +352,38 @@ class TestVersion:
         assert out == f"repro {package_version()}\n"
 
 
+class TestStartup:
+    def test_entry_points_leave_scipy_stats_unloaded(self) -> None:
+        """Only the correlation analyses pay for importing scipy.stats."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, env.get("PYTHONPATH")))
+        )
+        probe = (
+            "import sys\n"
+            "import repro.cli, repro.pipeline, repro.store\n"
+            "import repro.analysis, repro.serve\n"
+            "print('scipy.stats' in sys.modules)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"
+
+
 @pytest.fixture(scope="module")
 def store_workflow(tmp_path_factory):
     """One full CLI store workflow: halt, resume, evolve --since.

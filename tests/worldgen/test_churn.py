@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import jaccard_index
 from repro.worldgen import ChurnConfig, World, WorldConfig, evolve
@@ -205,3 +207,107 @@ class TestTwoStageBuild:
         assert built == [world.config.snapshot]
         assert world.namespace is world.namespace
         assert len(built) == 1
+
+
+class TestCalibrationReuse:
+    """A churn chain reuses solved calibrations without changing a bit."""
+
+    CHAIN_COUNTRIES = ("AF", "BR", "RU", "TH", "US")
+
+    @classmethod
+    def _chain(cls, seed: int, steps) -> list[World]:
+        world = World(
+            WorldConfig(
+                seed=seed, sites_per_country=50, countries=cls.CHAIN_COUNTRIES
+            )
+        )
+        worlds = [world]
+        for churned in steps:
+            churn = ChurnConfig(
+                churn_countries=None if churned is None else tuple(churned)
+            )
+            worlds.append(evolve(worlds[-1], churn))
+        return worlds
+
+    @settings(deadline=None, max_examples=10)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**16),
+        steps=st.lists(
+            st.none()
+            | st.lists(
+                st.sampled_from(CHAIN_COUNTRIES),
+                min_size=1,
+                max_size=2,
+                unique=True,
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    @example(
+        seed=0,
+        steps=[c.churn_countries for c in TestTwoStageBuild.CHAIN],
+    )
+    @example(seed=3, steps=[("AF",), None, ("AF", "TH")])
+    def test_carried_chain_equals_uncarried_chain(self, seed, steps) -> None:
+        from repro.datasets.countries import COUNTRIES as ATLAS
+        from repro.pipeline import STANFORD_VANTAGE_CONTINENT
+        from repro.worldgen import churn as churn_module
+        from repro.worldgen.slices import world_slice_digest
+        from repro.worldgen.world import EvolutionPlan
+
+        carried = self._chain(seed, steps)
+
+        def uncarried_plan(**fields) -> EvolutionPlan:
+            return EvolutionPlan(**{**fields, "calibrations": {}})
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(churn_module, "EvolutionPlan", uncarried_plan)
+            fresh = self._chain(seed, steps)
+
+        for a, b in zip(carried, fresh):
+            assert a.targets == b.targets
+            assert a.calibration_report == b.calibration_report
+            assert a.sites == b.sites
+            assert a.toplists == b.toplists
+            assert a.global_pool_domains == b.global_pool_domains
+        a, b = carried[-1], fresh[-1]
+        for cc in self.CHAIN_COUNTRIES:
+            for vantage in (
+                (STANFORD_VANTAGE_CONTINENT, None),
+                (ATLAS[cc].continent, cc),
+            ):
+                assert world_slice_digest(a, cc, *vantage) == (
+                    world_slice_digest(b, cc, *vantage)
+                )
+
+    def test_restricted_step_solves_only_churned_countries(
+        self, monkeypatch
+    ) -> None:
+        import repro.worldgen.world as world_module
+
+        solved: list[float] = []
+        calibrate = world_module.calibrate_shares
+
+        def counting(shares, target_score, total_sites):
+            solved.append(target_score)
+            return calibrate(shares, target_score, total_sites)
+
+        monkeypatch.setattr(world_module, "calibrate_shares", counting)
+        config = TestTwoStageBuild.CONFIG
+        world = World(config)
+        assert len(solved) == 4 * len(config.countries)
+        for churn in (
+            ChurnConfig(churn_countries=("TH",)),
+            ChurnConfig(churn_countries=("TH", "BR")),
+        ):
+            solved.clear()
+            new = evolve(world, churn)
+            changed = {
+                key
+                for key, calibration in new.calibrations.items()
+                if calibration is not world.calibrations[key]
+            }
+            assert {cc for cc, _ in changed} <= set(churn.churn_countries)
+            assert len(solved) == len(changed) <= len(churn.churn_countries)
+            world = new
