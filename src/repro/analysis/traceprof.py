@@ -217,6 +217,10 @@ class TraceProfile:
     #: ``dispatch-overhead`` (overlap-counting attribution, not a
     #: partition; the ``repro_phase_seconds`` figures of the profile).
     phases: dict[str, float] = field(default_factory=dict)
+    #: Queue wait over dispatches: nearest-rank ``p50``, ``p95`` and
+    #: ``max`` seconds (the ``repro_queue_wait_seconds`` figures of the
+    #: profile; empty when nothing was dispatched).
+    queue_wait: dict[str, float] = field(default_factory=dict)
     #: Critical-path segments (:func:`critical_path`).
     critical: list[dict] = field(default_factory=list)
     #: Critical-path seconds summed by phase name — a partition of
@@ -244,6 +248,7 @@ class TraceProfile:
                 for label, entry in self.workers.items()
             },
             "phases": self.phases,
+            "queue_wait": self.queue_wait,
             "critical_path": self.critical,
             "critical_phases": self.critical_phases,
             "amdahl": self.amdahl,
@@ -257,8 +262,8 @@ def analyze_trace(spans: list[dict]) -> TraceProfile:
     """Profile one loaded trace (``load_trace`` output)."""
     pipeline, profile = _split(spans)
     accounting = lifecycle_accounting(profile)
-    wall, workers, phases = (
-        accounting if accounting is not None else (0.0, {}, {})
+    wall, workers, phases, queue_wait = (
+        accounting if accounting is not None else (0.0, {}, {}, {})
     )
     stage_seconds: dict[str, float] = {}
     for span in pipeline:
@@ -278,6 +283,7 @@ def analyze_trace(spans: list[dict]) -> TraceProfile:
         has_profile=accounting is not None,
         workers=workers,
         phases=phases,
+        queue_wait=queue_wait,
         critical=critical,
         critical_phases=critical_phases,
         amdahl=amdahl_decomposition(spans),
@@ -448,6 +454,16 @@ def render_trace_summary(profile: TraceProfile) -> str:
             lines.append(
                 f"  {name:<{width}}  {profile.phases[name]:>10.3f} s"
             )
+    if profile.queue_wait:
+        lines.append("")
+        lines.append("## Queue wait per dispatch (wall clock)")
+        lines.append(
+            "  "
+            + "   ".join(
+                f"{stat} {seconds:.3f} s"
+                for stat, seconds in profile.queue_wait.items()
+            )
+        )
     if profile.critical_phases:
         lines.append("")
         total = sum(profile.critical_phases.values())

@@ -589,8 +589,8 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         metavar="JSONL",
         help="optional trace(s) written by 'measure --trace-out'; "
-        "several per-shard files are stitched into one id space "
-        "(adds wall-clock stage timings)",
+        "several files are concatenated in the order given into one "
+        "id space (adds wall-clock stage timings)",
     )
     report.add_argument(
         "--top",
@@ -624,7 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         metavar="JSONL",
         help="trace file(s) written by 'measure --trace-out'; several "
-        "per-shard files are stitched into one id space",
+        "files are concatenated in the order given into one id space",
     )
     summarize.add_argument(
         "--json",
@@ -1081,9 +1081,7 @@ def _cmd_report_campaign(args: argparse.Namespace) -> int:
                 continue
             traces.append(trace)
         if traces:
-            spans = (
-                stitch_spans(traces) if len(traces) > 1 else traces[0]
-            )
+            spans = stitch_spans(traces)
         else:
             print(
                 "warning: no spans in any --trace file; reporting "
@@ -1209,7 +1207,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from .obs.spans import load_trace, stitch_spans
 
     traces = [load_trace(path) for path in args.traces]
-    spans = stitch_spans(traces) if len(traces) > 1 else traces[0]
+    spans = stitch_spans(traces)
     if args.subcommand == "summarize":
         profile = analyze_trace(spans)
         if args.json:

@@ -158,10 +158,6 @@ class Zone:
             )
         return self._ns_names
 
-    def record_count(self) -> int:
-        """Total records in the zone."""
-        return sum(len(v) for v in self._records.values())
-
 
 @dataclass(frozen=True, slots=True)
 class ResolutionResult:

@@ -178,34 +178,14 @@ class Instrumentation:
         if self._stages_folded:
             return
         self._stages_folded = True
-        hist = self.stage_seconds
-        buckets = hist.buckets
-        bucket_count = len(buckets)
-        series_map = hist._series
-        series_by_stage: dict[str, list] = {}
+        observers: dict[str, Callable[[float], None]] = {}
         for span in self.tracer._finished:
-            series = series_by_stage.get(span.name)
-            if series is None:
-                key = hist._key({"stage": span.name})
-                series = series_map.get(key)
-                if series is None:
-                    series = series_map[key] = [
-                        [0] * (bucket_count + 1),
-                        0.0,
-                        0,
-                    ]
-                series_by_stage[span.name] = series
-            end = span.end_logical
-            value = end - span.start_logical if end is not None else 0.0
-            counts = series[0]
-            for i in range(bucket_count):
-                if value <= buckets[i]:
-                    counts[i] += 1
-                    break
-            else:
-                counts[-1] += 1
-            series[1] += float(value)
-            series[2] += 1
+            observe = observers.get(span.name)
+            if observe is None:
+                observe = observers[span.name] = self.stage_seconds.child(
+                    stage=span.name
+                ).observe
+            observe(span.logical_seconds)
 
     # ------------------------------------------------------------------
     # Resolver observer protocol (see repro.net.dns.Resolver.observer)

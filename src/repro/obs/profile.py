@@ -17,12 +17,13 @@ the profiler turns them into
   what makes worker timelines and the critical path computable from
   the trace alone (:mod:`repro.analysis.traceprof`);
 * **metric families** — worker busy/idle/spawn seconds, per-worker
-  World-build seconds, queue-depth distribution, and phase-attributed
-  totals (:func:`lifecycle_accounting` over those spans, the same
-  function ``repro trace summarize`` reads a trace with), kept in the
-  profiler's *own* :class:`~repro.obs.metrics.MetricsRegistry` (never
-  merged into a campaign's measurement metrics, which must stay
-  byte-identical across worker counts and wall-clock noise).
+  World-build seconds, queue-depth and queue-wait distributions, and
+  phase-attributed totals (:func:`lifecycle_accounting` over those
+  spans, the same function ``repro trace summarize`` reads a trace
+  with), kept in the profiler's *own*
+  :class:`~repro.obs.metrics.MetricsRegistry` (never merged into a
+  campaign's measurement metrics, which must stay byte-identical
+  across worker counts and wall-clock noise).
 
 The span taxonomy (all children of one ``campaign`` root)::
 
@@ -83,13 +84,13 @@ QUEUE_DEPTH_BUCKETS: tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
 def lifecycle_accounting(
     spans: Iterable[dict],
-) -> tuple[float, dict[str, dict], dict[str, float]] | None:
-    """Worker and phase accounting of one campaign's lifecycle spans.
+) -> tuple[float, dict[str, dict], dict[str, float], dict[str, float]] | None:
+    """Worker, phase and queue-wait accounting of one campaign.
 
     The one definition behind both ``--profile-out`` and ``repro trace
-    summarize``.  Returns ``(wall, workers, phases)``, or None when the
-    spans hold no ``campaign`` root; pipeline spans (names outside
-    :data:`PROFILE_SPAN_NAMES`) are ignored.
+    summarize``.  Returns ``(wall, workers, phases, queue_wait)``, or
+    None when the spans hold no ``campaign`` root; pipeline spans
+    (names outside :data:`PROFILE_SPAN_NAMES`) are ignored.
 
     ``workers`` maps a worker label to its ``busy``, ``idle``,
     ``spawn`` and ``world_build`` seconds, its ``tasks`` count, the
@@ -105,7 +106,12 @@ def lifecycle_accounting(
     ``phases`` sums seconds per span name (overlapping spans each
     count: attribution, not a partition) plus ``dispatch-overhead``,
     the dispatch round trips minus the worker-side compute and World
-    build nested in them.  Every figure is rounded to microseconds.
+    build nested in them.  ``queue-wait`` is not a phase: every queued
+    country waits at once, so its total grows with the country count
+    past wall x workers.  ``queue_wait`` instead holds the ``p50``,
+    ``p95`` and ``max`` wait over dispatches (nearest rank; a dispatch
+    without a ``queue-wait`` span waited 0), empty when nothing was
+    dispatched.  Every figure is rounded to microseconds.
     """
     lifecycle = [s for s in spans if s["name"] in PROFILE_SPAN_NAMES]
     root = next((s for s in lifecycle if s["name"] == "campaign"), None)
@@ -117,6 +123,7 @@ def lifecycle_accounting(
     dispatches: dict[int, float] = {}
     #: dispatch span id -> worker-side seconds nested under it.
     nested: dict[int, float] = {}
+    waits: list[float] = []
 
     def track(label: str) -> dict:
         return workers.setdefault(
@@ -138,6 +145,9 @@ def lifecycle_accounting(
         if name == "campaign":
             continue
         seconds = span["logical_seconds"]
+        if name == "queue-wait":
+            waits.append(seconds)
+            continue
         phases[name] = phases.get(name, 0.0) + seconds
         on_root = span["parent_id"] == root["span_id"]
         label = span["attrs"].get("worker", "main")
@@ -173,10 +183,20 @@ def lifecycle_accounting(
             entry["busy_frac"] = entry["busy"] / wall
             entry["idle_frac"] = entry["idle"] / wall
         entry["segments"].sort()
+    waits.extend([0.0] * (len(dispatches) - len(waits)))
+    waits.sort()
+    # Nearest rank: the p-th percentile is the ceil(p * n / 100)-th
+    # smallest wait.
+    queue_wait = {
+        stat: round(waits[-(-percent * len(waits) // 100) - 1], 6)
+        for stat, percent in (("p50", 50), ("p95", 95), ("max", 100))
+        if waits
+    }
     return (
         wall,
         workers,
         {name: round(seconds, 6) for name, seconds in phases.items()},
+        queue_wait,
     )
 
 
@@ -377,8 +397,8 @@ class CampaignProfiler:
 
         Spans are in the tracer dict shape with campaign-relative
         wall-clock timestamps; the payload is a metrics-registry
-        export holding the worker-utilization, queue-depth, and
-        phase-attribution families.  Idempotent: the first call
+        export holding the worker-utilization, queue-depth, queue-wait
+        and phase-attribution families.  Idempotent: the first call
         freezes the campaign end.
         """
         if self._finished is not None:
@@ -464,7 +484,7 @@ class CampaignProfiler:
     def _build_metrics(self, spans: list[dict]) -> dict:
         accounting = lifecycle_accounting(spans)
         assert accounting is not None  # _build_spans always emits the root
-        wall, workers, phases = accounting
+        wall, workers, phases, queue_wait = accounting
         registry = MetricsRegistry()
         registry.gauge(
             "repro_campaign_wall_seconds",
@@ -507,6 +527,14 @@ class CampaignProfiler:
         )
         for phase in sorted(phases):
             phase_gauge.set(phases[phase], phase=phase)
+        wait_gauge = registry.gauge(
+            "repro_queue_wait_seconds",
+            "wall-clock seconds a country waited for a worker, over "
+            "dispatches (nearest-rank p50, p95 and max)",
+            ("stat",),
+        )
+        for stat, seconds in queue_wait.items():
+            wait_gauge.set(seconds, stat=stat)
 
         depth_hist = registry.histogram(
             "repro_queue_depth",

@@ -198,55 +198,29 @@ def write_spans_jsonl(spans: list[dict], path: str | Path) -> int:
     return len(spans)
 
 
-def _stitch_sort_key(entry: tuple) -> tuple:
-    start, name, shard, _span = entry
-    return (start, name, shard)
+def stitch_spans(traces: Sequence[Sequence[dict]]) -> list[dict]:
+    """Concatenate traces, in the order given, into one span id space.
 
-
-def stitch_spans(traces: Sequence[list[dict] | tuple[dict, ...]]) -> list[dict]:
-    """Merge several traces into one globally consistent id space.
-
-    Every tracer numbers its spans 1..n, so concatenating shard traces
-    verbatim would collide ids.  Spans are ordered by the fully
-    deterministic key ``(start_logical, name, shard index)`` — a
-    *stable* sort, so spans tying on all three keep their within-trace
-    completion order — and then renumbered densely 1..N in that order,
-    parent links included.  Because the key ranks a span the same way
-    whether its country ran in one big trace or its own shard file,
-    the stitched output is identical however the campaign was sharded,
-    and (ties aside) independent of the order shard files are passed
-    in.  Input dicts are not mutated.
+    Every tracer numbers its spans 1..n, so each span's ``span_id`` and
+    ``parent_id`` move up by the number of spans before its trace.
+    Nothing is reordered: ``run_campaign`` passes its countries in
+    sorted order, each country's spans in completion order, so the
+    stitched trace is the same however the campaign was sharded.  A
+    trace at offset 0 passes through uncopied (stitching one trace is
+    the identity); later spans are copied, so inputs are not mutated.
     """
-    decorated: list[tuple] = []
-    offset = 0
-    for shard, trace in enumerate(traces):
+    stitched: list[dict] = []
+    for trace in traces:
+        offset = len(stitched)
+        if not offset:
+            stitched.extend(trace)
+            continue
         for span in trace:
             span = dict(span)
-            span["span_id"] = span["span_id"] + offset
+            span["span_id"] += offset
             if span["parent_id"] is not None:
-                span["parent_id"] = span["parent_id"] + offset
-            decorated.append(
-                (
-                    float(span.get("start_logical", 0.0)),
-                    str(span.get("name", "")),
-                    shard,
-                    span,
-                )
-            )
-        offset += len(trace)
-    decorated.sort(key=_stitch_sort_key)
-    renumber = {
-        entry[3]["span_id"]: new_id
-        for new_id, entry in enumerate(decorated, start=1)
-    }
-    stitched: list[dict] = []
-    for _start, _name, _shard, span in decorated:
-        span["span_id"] = renumber[span["span_id"]]
-        if span["parent_id"] is not None:
-            span["parent_id"] = renumber.get(
-                span["parent_id"], span["parent_id"]
-            )
-        stitched.append(span)
+                span["parent_id"] += offset
+            stitched.append(span)
     return stitched
 
 

@@ -27,8 +27,8 @@ merge is exact, not approximate:
 * metrics registries merge by summing counters/gauges and cumulative
   histogram buckets (:func:`~repro.obs.metrics.merge_metrics_payloads`)
   and render through the same JSON formatter;
-* span files stitch with span ids renumbered by cumulative offset, so
-  the id sequence is again 1..N in merged order.
+* span traces concatenate in the same order, each country's ids
+  offset by the spans before it, so the id sequence is again 1..N.
 
 ``workers <= 1`` runs the same country units inline through the same
 merge path — so ``--workers 4`` output is byte-identical to the
@@ -228,8 +228,8 @@ class CampaignResult:
     dataset: MeasurementDataset
     #: Merged metrics payload (None when uninstrumented).
     metrics: dict | None
-    #: Stitched span dicts with globally renumbered ids (None when
-    #: uninstrumented).
+    #: The countries' span dicts concatenated in sorted country order,
+    #: ids offset into one 1..N sequence (None when uninstrumented).
     spans: tuple[dict, ...] | None
     injected_faults: int
     open_circuits: tuple[str, ...]
@@ -280,16 +280,9 @@ class CampaignResult:
             raise PipelineError(
                 "campaign ran uninstrumented; no trace to write"
             )
-        spans = list(self.spans)
-        if self.profile_spans:
-            offset = len(spans)
-            for span in self.profile_spans:
-                span = dict(span)
-                span["span_id"] += offset
-                if span["parent_id"] is not None:
-                    span["parent_id"] += offset
-                spans.append(span)
-        return write_spans_jsonl(spans, path)
+        return write_spans_jsonl(
+            stitch_spans([self.spans, self.profile_spans or ()]), path
+        )
 
     def write_profile(self, path: str | Path) -> None:
         """Write the campaign profile payload as deterministic JSON."""
@@ -425,11 +418,6 @@ def worker_context(spec: CampaignSpec) -> WorkerContext:
         _WORKER_CONTEXT = (recipe, context)
         _LAST_WORLD_BUILD = (build_start, time.monotonic())
     return _WORKER_CONTEXT[1]
-
-
-def worker_world(spec: CampaignSpec) -> World:
-    """The World a worker process measures against (memoized)."""
-    return worker_context(spec).world
 
 
 def pop_world_build() -> tuple[float, float] | None:

@@ -43,9 +43,9 @@ class WorldConfig:
     geo_error_rate:
         Country-level mislabel rate of the geolocation database (the
         paper cites 89.4% NetAcuity accuracy, i.e. ~0.106 error).
-    dns_ttl / measurement_interval:
-        TTLs for the simulated zones and the logical time between
-        consecutive site measurements (exercises resolver caching).
+    dns_ttl:
+        TTL of the simulated zones' NS and A records (exercises
+        resolver caching).
     snapshot:
         Label of the measurement epoch ("2023-05" or the longitudinal
         follow-up "2025-05").

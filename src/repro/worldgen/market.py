@@ -191,10 +191,6 @@ class ProviderMarket:
     def __len__(self) -> int:
         return len(self._providers)
 
-    def all_providers(self) -> list[Provider]:
-        """Every provider in the market."""
-        return list(self._providers.values())
-
     def home_country_of(self, name: str) -> str | None:
         """A provider's home country (None if unknown)."""
         provider = self._providers.get(name)

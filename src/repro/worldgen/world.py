@@ -28,7 +28,7 @@ import re
 import zlib
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from ..net.http import HttpFabric, RedirectPolicy
 from ..net.psl import CCTLD_OF_COUNTRY, PublicSuffixList, default_psl
 from ..net.tls import Certificate, TLSFabric
 from .calibration import calibrate_shares
-from .residual import residual_counts, residual_counts_calibrated
+from .residual import residual_counts_calibrated
 from .config import WorldConfig
 from .market import Provider, ProviderMarket
 from .profiles import (
@@ -137,9 +137,12 @@ class EvolutionPlan:
     """Carryover state when evolving an old world into a new snapshot.
 
     Produced by :mod:`repro.worldgen.churn`; ``pool_records`` are the
-    reused global-pool sites (copied, in popularity order via
-    ``pool_order``) and ``kept_local`` are the per-country local sites
-    that survive toplist churn.  ``kept_toplists`` carries *entire*
+    reused global-pool sites (in popularity order via ``pool_order``)
+    and ``kept_local`` are the per-country local sites that survive
+    toplist churn.  The new world stores these record objects as they
+    are, shared with the old world, so no build step may mutate a
+    stored record (:meth:`World._apply_language_case_studies` stores
+    changed copies).  ``kept_toplists`` carries *entire*
     toplists (domain tuples, in rank order) for countries excluded from
     churn — those countries skip every stochastic draw and reproduce
     the old snapshot's toplist byte-identically, which is what lets
@@ -431,18 +434,7 @@ class World:
             sites: list[Site] = []
             for domain in self._plan.pool_order:
                 old = self._plan.pool_records[domain]
-                record = SiteRecord(
-                    domain=old.domain,
-                    origin_country=old.origin_country,
-                    language=old.language,
-                    is_global=True,
-                    hosting=old.hosting,
-                    dns=old.dns,
-                    ca=old.ca,
-                    tld=old.tld,
-                    secondary_cdn=old.secondary_cdn,
-                )
-                self.sites[domain] = record
+                self.sites[domain] = old
                 self.global_pool_domains.append(domain)
                 sites.append(
                     Site(
@@ -605,25 +597,6 @@ class World:
         insular = hosting_insularity_target(cc)
         return self.config.shared_site_base_fraction * (1.0 - 0.75 * insular)
 
-    def _residual_counts(
-        self,
-        target: dict[str, int],
-        used: Counter[str],
-        slots: int,
-    ) -> dict[str, int]:
-        return residual_counts(target, used, slots)
-
-    def _residual_counts_calibrated(
-        self,
-        target: dict[str, int],
-        used: Counter[str],
-        slots: int,
-        target_score: float,
-    ) -> dict[str, int]:
-        return residual_counts_calibrated(
-            target, used, slots, target_score
-        )
-
     def _selection_weights(
         self, cc: str, pool_sites: list[Site], popularity: np.ndarray
     ) -> np.ndarray:
@@ -688,18 +661,7 @@ class World:
                 # in rank order, shared sites already materialized from
                 # the carried pool) without consuming any randomness.
                 for old in kept_local.get(cc, ()):
-                    record = SiteRecord(
-                        domain=old.domain,
-                        origin_country=old.origin_country,
-                        language=old.language,
-                        is_global=False,
-                        hosting=old.hosting,
-                        dns=old.dns,
-                        ca=old.ca,
-                        tld=old.tld,
-                        secondary_cdn=old.secondary_cdn,
-                    )
-                    self.sites[record.domain] = record
+                    self.sites[old.domain] = old
                 self.toplists[cc] = Toplist(
                     country=cc, domains=tuple(kept_toplists[cc])
                 )
@@ -721,19 +683,8 @@ class World:
 
             kept_domains: list[str] = []
             for old in kept_records:
-                record = SiteRecord(
-                    domain=old.domain,
-                    origin_country=old.origin_country,
-                    language=old.language,
-                    is_global=False,
-                    hosting=old.hosting,
-                    dns=old.dns,
-                    ca=old.ca,
-                    tld=old.tld,
-                    secondary_cdn=old.secondary_cdn,
-                )
-                self.sites[record.domain] = record
-                kept_domains.append(record.domain)
+                self.sites[old.domain] = old
+                kept_domains.append(old.domain)
 
             used: dict[str, Counter[str]] = {
                 layer: Counter() for layer in LAYER_NAMES
@@ -747,7 +698,7 @@ class World:
 
             slots = c - n_shared - len(kept_domains)
             residual = {
-                layer: self._residual_counts_calibrated(
+                layer: residual_counts_calibrated(
                     self.targets[cc][layer],
                     used[layer],
                     slots,
@@ -867,6 +818,8 @@ class World:
         31.4% of Afghan top sites are Persian; 60.8% of the Persian
         sites are hosted in Iran — realized by making nearly all
         Iranian-hosted Afghan sites Persian and topping up the rest.
+        Records carried from an older snapshot are shared with it, so
+        each language lands in a copy stored in :attr:`sites`.
         """
         if "AF" not in self.config.countries:
             return
@@ -884,25 +837,28 @@ class World:
             return
         target_persian = 0.314 * len(self.toplists["AF"].domains)
         persian = 0
-        others: list[SiteRecord] = []
+        languages: dict[str, str] = {}
+        others: list[str] = []
         for record in af_sites:
             home = self.market.home_country_of(record.hosting)
             # 60.8% of Persian AF sites are in Iran while ~20% of all
             # AF sites are — so nearly all (but not all) Iranian-hosted
             # Afghan sites are Persian.
             if home == "IR" and rng.random() < 0.955:
-                record.language = "fa"
+                languages[record.domain] = "fa"
                 persian += 1
             else:
-                record.language = "ps"
-                others.append(record)
+                languages[record.domain] = "ps"
+                others.append(record.domain)
         deficit = max(0, int(target_persian) - persian)
         if others and deficit:
             picks = rng.choice(
                 len(others), size=min(deficit, len(others)), replace=False
             )
             for i in picks:
-                others[int(i)].language = "fa"
+                languages[others[int(i)]] = "fa"
+        for domain, language in languages.items():
+            self.sites[domain] = replace(self.sites[domain], language=language)
 
     # ------------------------------------------------------------------
     # Infrastructure materialization
@@ -1220,8 +1176,3 @@ class World:
             return infra.provider.home_country
         return self.market.home_country_of(name)
 
-    def ca_home(self, ca_owner: str) -> str | None:
-        """Home country of a CA owner."""
-        if ca_owner in self.ccadb:
-            return self.ccadb.owner(ca_owner).country
-        return None

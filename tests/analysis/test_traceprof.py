@@ -181,6 +181,15 @@ class TestAnalyzeTrace:
         assert "campaign" not in profile.phases
         assert sum(profile.critical_phases.values()) == 10.0
 
+    def test_queue_wait_is_a_distribution_not_a_phase(self) -> None:
+        profile = analyze_trace(_sharded_trace())
+        # Waits of 1, 1 and 5 s over three dispatches (nearest rank).
+        assert profile.queue_wait == {"p50": 1.0, "p95": 5.0, "max": 5.0}
+        assert "queue-wait" not in profile.phases
+        assert profile.to_dict()["queue_wait"] == profile.queue_wait
+        summary = render_trace_summary(profile)
+        assert "p50 1.000 s   p95 5.000 s   max 5.000 s" in summary
+
     def test_graceful_on_pipeline_only_trace(self) -> None:
         profile = analyze_trace(
             [_span(1, "site", 0.0, 2.0), _span(2, "resolve", 0.0, 1.0, 1)]

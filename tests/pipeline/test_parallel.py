@@ -20,6 +20,7 @@ from repro.obs.metrics import render_metrics_json
 from repro.obs.spans import stitch_spans
 from repro.pipeline import (
     CampaignSpec,
+    SupervisorPolicy,
     export_csv,
     measure_country_unit,
     rows_to_csv_text,
@@ -194,20 +195,62 @@ class TestStitchSpans:
             {"span_id": 2, "parent_id": 1, "name": "tls"},
         ]
         stitched = stitch_spans([first, second])
-        # Deterministic order under ties: all four spans tie on start
-        # (no start_logical -> 0.0), so (start, name, shard) ranks
-        # resolve, site@0, site@1, tls — renumbered densely with
-        # parent links following their spans.
+        # The traces concatenate in the order given; the second one's
+        # ids and parent links move up by the two spans before it.
         assert [s["span_id"] for s in stitched] == [1, 2, 3, 4]
         assert [s["name"] for s in stitched] == [
-            "resolve",
             "site",
+            "resolve",
             "site",
             "tls",
         ]
-        assert [s["parent_id"] for s in stitched] == [2, None, None, 3]
+        assert [s["parent_id"] for s in stitched] == [None, 1, None, 3]
         # Inputs are not mutated.
         assert second[0]["span_id"] == 1
+
+    def test_one_trace_passes_through_unchanged(self) -> None:
+        # Out of start order on purpose: one trace is never reordered.
+        trace = [
+            {"span_id": 1, "parent_id": None, "name": "site",
+             "start_logical": 2.0},
+            {"span_id": 2, "parent_id": 1, "name": "tls",
+             "start_logical": 0.5},
+        ]
+        stitched = stitch_spans([trace])
+        assert stitched == trace
+        assert all(a is b for a, b in zip(stitched, trace))
+
+    @pytest.mark.parametrize(
+        "workers, policy",
+        [(1, None), (2, SupervisorPolicy(chunk_size=2))],
+        ids=["serial", "sharded-chunked"],
+    )
+    def test_campaign_trace_is_its_units_concatenated(
+        self, workers, policy
+    ) -> None:
+        world = SPEC.build_world()
+        units = [
+            measure_country_unit(world, SPEC, cc)
+            for cc in sorted(CONFIG.countries)
+        ]
+        expected = stitch_spans([unit.spans for unit in units])
+        result = run_campaign(SPEC, workers=workers, policy=policy)
+
+        def logical(spans, drop=("wall_ms",)):
+            return [
+                {k: v for k, v in span.items() if k not in drop}
+                for span in spans
+            ]
+
+        assert logical(result.spans) == logical(expected)
+        # Each country's spans form one block, in its unit's order.
+        ids = ("wall_ms", "span_id", "parent_id")
+        offset = 0
+        for unit in units:
+            block = result.spans[offset : offset + len(unit.spans)]
+            assert logical(block, ids) == logical(unit.spans, ids)
+            offset += len(unit.spans)
+        assert offset == len(result.spans)
 
     def test_order_is_invariant_under_shard_layout(self) -> None:
         spans = [

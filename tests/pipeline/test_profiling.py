@@ -158,6 +158,38 @@ class TestUtilizationAccounting:
             )
 
 
+class TestQueueWait:
+    def test_no_phase_total_exceeds_wall_times_workers(self) -> None:
+        # Twelve countries on two workers: the countries wait for a
+        # worker concurrently, so their summed wait is several times
+        # the wall clock and must not be reported as a phase.
+        config = WorldConfig(
+            sites_per_country=50,
+            countries=(
+                "AR", "AU", "BR", "CA", "DE", "FR",
+                "GB", "IN", "JP", "NG", "TH", "US",
+            ),
+        )
+        result = run_campaign(
+            CampaignSpec(config=config, instrument=True), workers=2
+        )
+        metrics = result.profile["metrics"]
+        wall = metrics["repro_campaign_wall_seconds"]["samples"][0]["value"]
+        phases = {
+            s["labels"]["phase"]: s["value"]
+            for s in metrics["repro_phase_seconds"]["samples"]
+        }
+        assert "queue-wait" not in phases
+        for phase, seconds in phases.items():
+            assert seconds <= wall * 2, (phase, seconds, wall)
+        waits = {
+            s["labels"]["stat"]: s["value"]
+            for s in metrics["repro_queue_wait_seconds"]["samples"]
+        }
+        assert waits == analyze_trace(list(result.profile_spans)).queue_wait
+        assert 0 < waits["p50"] <= waits["p95"] <= waits["max"] <= wall
+
+
 class TestTraceRoundTrip:
     def test_trace_file_feeds_the_analyzer(
         self, campaigns, tmp_path

@@ -102,15 +102,45 @@ class TestEvolve:
     def test_kept_records_are_copies(
         self, old_world: World, new_world: World
     ) -> None:
-        cc = "US"
-        shared = [
+        # Carried records are shared with the old world, not copied:
+        # an unchurned country's local records and the pool records of
+        # a restricted step, and a churned country's kept records.
+        restricted = evolve(old_world, ChurnConfig(churn_countries=("BR",)))
+        local = [
             d
-            for d in set(old_world.toplists[cc].domains)
-            & set(new_world.toplists[cc].domains)
+            for d in old_world.toplists["US"].domains
             if not old_world.sites[d].is_global
         ]
-        domain = shared[0]
-        assert new_world.sites[domain] is not old_world.sites[domain]
+        assert local
+        for domain in local + old_world.global_pool_domains:
+            assert restricted.sites[domain] is old_world.sites[domain]
+        kept = [
+            d
+            for d in set(old_world.toplists["US"].domains)
+            & set(new_world.toplists["US"].domains)
+            if not old_world.sites[d].is_global
+        ]
+        assert kept
+        for domain in kept:
+            assert new_world.sites[domain] is old_world.sites[domain]
+
+    def test_af_churn_leaves_old_languages_alone(self) -> None:
+        # The Section 5.3.3 pass re-assigns languages to kept Afghan
+        # records; the old world holds the same record objects.
+        old = World(
+            WorldConfig(sites_per_country=100, countries=("AF", "IR", "US"))
+        )
+        before = {d: r.language for d, r in old.sites.items()}
+        new = evolve(old, ChurnConfig(churn_countries=("AF",)))
+        assert {d: r.language for d, r in old.sites.items()} == before
+        relabeled = [
+            d
+            for d in old.toplists["AF"].domains
+            if not old.sites[d].is_global
+            and d in new.sites
+            and new.sites[d].language != before[d]
+        ]
+        assert relabeled
 
     def test_new_world_remeasurable(self, new_world: World) -> None:
         from repro.pipeline import CampaignSpec, run_campaign
