@@ -6,13 +6,28 @@ and returns a :class:`Response`.  The HTTP front end
 (:mod:`repro.serve.http`) only moves bytes; everything testable lives
 here, so the full endpoint surface is exercisable without a socket.
 
-Consistency under concurrent writers: each request loads any manifest
+Consistency under concurrent writers: each request reads any manifest
 it needs **exactly once** (an atomic whole-file read — the store
 writes via temp-file + ``os.replace``) and every downstream
 computation, cache key, and ETag derives from that one snapshot.  The
 shards a manifest references are immutable and were written before the
 manifest named them, so a reader sees the old campaign state or the
 new one, never a torn mixture.
+
+A warm request by full campaign id makes that read its only file
+access, and parses, encodes and hashes nothing apart from the short
+derived key:
+
+* The API keeps each manifest it parsed with the exact bytes it was
+  parsed from and its digest.  A read whose bytes equal the kept ones
+  reuses both, so a manifest is parsed and digested once per change.
+  File metadata (size, mtime, inode) is never trusted: manifests are
+  rewritten in place through ``os.replace``.
+* A full campaign id (64 hex characters) names its manifest file
+  directly; a shorter prefix is resolved by listing ``campaigns/``.
+* Response bodies and ETags are views kept in the materializer's
+  memory-tier entries (:class:`~repro.serve.materialize.Entry`), so a
+  memory hit neither encodes nor hashes.
 
 ETags are the sha256 of the response body bytes (quoted, strong).
 Bodies are canonical JSON of deterministic payloads, so identical
@@ -26,8 +41,10 @@ and never contain a traceback.
 
 from __future__ import annotations
 
-import hashlib
+import re
+import threading
 import time
+from collections import OrderedDict
 
 from ..analysis.storediff import manifest_snapshot
 from ..errors import (
@@ -39,10 +56,10 @@ from ..errors import (
 from ..obs.log import get_logger
 from ..obs.metrics import MetricsRegistry
 from ..pipeline.records import LAYER_FIELDS
-from ..store.digest import canonical_json
+from ..store.digest import digest_of
 from ..store.series import retired_epochs, series_listing
-from ..store.store import CampaignStore
-from .materialize import Materializer
+from ..store.store import CampaignStore, parse_manifest
+from .materialize import Entry, Materializer, encode_body, etag_of, rendered
 
 __all__ = ["ApiError", "Response", "ServeApi", "ENDPOINTS"]
 
@@ -59,6 +76,15 @@ ENDPOINTS = (
     "/whatif/{id}?knob=outage|schism|spof&...",
     "/metrics",
 )
+
+#: Manifests kept parsed and digested, by campaign id (LRU).
+MANIFEST_SLOTS = 128
+
+#: A full campaign id (:func:`~repro.store.digest.campaign_id`) names
+#: its manifest file directly, without listing ``campaigns/``.
+FULL_ID = re.compile(r"[0-9a-f]{64}")
+
+JSON = "application/json"
 
 
 class ApiError(Exception):
@@ -90,22 +116,12 @@ class Response:
         status: int,
         body: bytes,
         etag: str | None,
-        content_type: str = "application/json",
+        content_type: str = JSON,
     ) -> None:
         self.status = status
         self.body = body
         self.etag = etag
         self.content_type = content_type
-
-
-def encode_body(payload: object) -> bytes:
-    """Canonical JSON bytes — the one rendering ETags are minted over."""
-    return (canonical_json(payload) + "\n").encode("utf-8")
-
-
-def etag_of(body: bytes) -> str:
-    """Strong content-digest ETag of a response body."""
-    return f'"{hashlib.sha256(body).hexdigest()}"'
 
 
 def _matches(etag: str, if_none_match: str | None) -> bool:
@@ -116,6 +132,15 @@ def _matches(etag: str, if_none_match: str | None) -> bool:
         tag.strip().removeprefix("W/") for tag in if_none_match.split(",")
     }
     return etag in candidates or "*" in candidates
+
+
+def _layers(summary: dict) -> dict:
+    """The ``/layers`` view of a campaign summary."""
+    return {
+        "campaign": summary["campaign"],
+        "snapshot": summary["snapshot"],
+        "layers": summary["layers"],
+    }
 
 
 class ServeApi:
@@ -130,6 +155,11 @@ class ServeApi:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.materializer = Materializer(store, self.registry)
         self._log = get_logger("repro.serve")
+        #: campaign id -> (manifest bytes, parsed manifest, digest).
+        self._manifests: OrderedDict[str, tuple[bytes, dict, str]] = OrderedDict()
+        #: The campaign listing's inputs and its rendered response.
+        self._listing: tuple[list, tuple[bytes, str]] | None = None
+        self._lock = threading.Lock()
         self._requests = self.registry.counter(
             "repro_serve_requests_total",
             "requests served by endpoint and status",
@@ -159,14 +189,9 @@ class ServeApi:
         started = time.perf_counter()
         endpoint = "invalid"
         try:
-            endpoint, payload, content_type = self._route(
+            endpoint, body, etag, content_type = self._route(
                 path, query or {}
             )
-            if content_type == "application/json":
-                body = encode_body(payload)
-            else:
-                body = payload  # already bytes (e.g. /metrics text)
-            etag = etag_of(body)
             if _matches(etag, if_none_match):
                 self._not_modified.inc()
                 response = Response(304, b"", etag, content_type)
@@ -213,46 +238,35 @@ class ServeApi:
 
     def _route(
         self, path: str, query: dict[str, list[str]]
-    ) -> tuple[str, object, str]:
+    ) -> tuple[str, bytes, str, str]:
+        """``(endpoint, body, etag, content type)`` of one request."""
         parts = [part for part in path.split("/") if part]
         if not parts:
-            return "index", self._index(), "application/json"
+            return ("index", *rendered(self._index()), JSON)
         head = parts[0]
         if head == "metrics" and len(parts) == 1:
-            return (
-                "metrics",
-                self.registry.to_prometheus().encode("utf-8"),
-                "text/plain; version=0.0.4",
-            )
+            body = self.registry.to_prometheus().encode("utf-8")
+            return "metrics", body, etag_of(body), "text/plain; version=0.0.4"
         if head == "campaigns":
             if len(parts) == 1:
-                return "campaigns", self._campaign_list(), "application/json"
-            campaign, manifest = self._manifest(parts[1])
-            summary = self.materializer.summary(campaign, manifest)
+                return ("campaigns", *self._campaign_list(), JSON)
+            summary = self.materializer.summary(*self._manifest(parts[1]))
             if len(parts) == 2:
-                return "campaign", summary, "application/json"
+                return ("campaign", *summary.view("campaign"), JSON)
             if len(parts) == 4 and parts[2] == "countries":
-                return (
-                    "country",
-                    self._country(summary, parts[3].upper()),
-                    "application/json",
+                cc = parts[3].upper()
+                view = summary.view(
+                    f"country/{cc}", lambda payload: self._country(payload, cc)
                 )
+                return ("country", *view, JSON)
             if len(parts) == 3 and parts[2] == "layers":
-                return (
-                    "layers",
-                    {
-                        "campaign": summary["campaign"],
-                        "snapshot": summary["snapshot"],
-                        "layers": summary["layers"],
-                    },
-                    "application/json",
-                )
+                return ("layers", *summary.view("layers", _layers), JSON)
         if head == "diff" and len(parts) == 3:
-            campaign_a, manifest_a = self._manifest(parts[1])
-            campaign_b, manifest_b = self._manifest(parts[2])
+            campaign_a, manifest_a, digest_a = self._manifest(parts[1])
+            campaign_b, manifest_b, digest_b = self._manifest(parts[2])
             try:
-                payload = self.materializer.diff(
-                    campaign_a, campaign_b, manifest_a, manifest_b
+                diff = self.materializer.diff(
+                    campaign_a, campaign_b, manifest_a, manifest_b, digest_a, digest_b
                 )
             except PipelineError as exc:
                 if isinstance(exc, StoreCorruptionError):
@@ -260,19 +274,15 @@ class ServeApi:
                 raise ApiError(
                     409, "incomplete_campaign", str(exc)
                 ) from exc
-            return "diff", payload, "application/json"
+            return ("diff", *diff.view("diff"), JSON)
         if head == "series":
             if len(parts) == 1:
-                return "series", self._series_list(), "application/json"
+                return ("series", *rendered(self._series_list()), JSON)
             if len(parts) == 3 and parts[2] == "trend":
-                return "trend", self._trend(parts[1]), "application/json"
+                return ("trend", *self._trend(parts[1]).view("trend"), JSON)
         if head == "whatif" and len(parts) == 2:
-            campaign, manifest = self._manifest(parts[1])
-            return (
-                "whatif",
-                self._whatif(campaign, manifest, query),
-                "application/json",
-            )
+            whatif = self._whatif(*self._manifest(parts[1]), query)
+            return ("whatif", *whatif.view("whatif"), JSON)
         raise ApiError(404, "not_found", f"no such endpoint: {path}")
 
     def _index(self) -> dict:
@@ -286,43 +296,88 @@ class ServeApi:
     # Resource resolution
     # ------------------------------------------------------------------
 
-    def _manifest(self, prefix: str) -> tuple[str, dict]:
-        """Resolve a campaign-id prefix and load its manifest *once*."""
-        matches = [
-            campaign
-            for campaign in self.store.list_campaign_ids()
-            if campaign.startswith(prefix)
-        ]
-        if not matches:
-            raise ApiError(
-                404, "not_found", f"no campaign matching {prefix!r}"
-            )
-        if len(matches) > 1:
-            raise ApiError(
-                400,
-                "ambiguous_prefix",
-                f"campaign prefix {prefix!r} matches "
-                + ", ".join(m[:16] for m in matches),
-            )
-        manifest = self.store.load_manifest(matches[0])
-        if manifest is None:  # deleted between listing and load
-            raise ApiError(
-                404, "not_found", f"no campaign matching {prefix!r}"
-            )
-        return matches[0], manifest
+    def _read_manifest(self, campaign: str) -> tuple[dict, str] | None:
+        """``(manifest, digest)`` from one whole read of the file.
 
-    def _campaign_list(self) -> dict:
+        Equal bytes reuse the kept parse and digest; new bytes are
+        parsed and digested once.  Never file metadata: manifests are
+        rewritten in place through ``os.replace``.  Kept manifests are
+        shared, so callers only read them.
+        """
+        raw = self.store.read_manifest_bytes(campaign)
+        if raw is None:
+            return None
+        with self._lock:
+            kept = self._manifests.get(campaign)
+            if kept is not None and kept[0] == raw:
+                self._manifests.move_to_end(campaign)
+                return kept[1], kept[2]
+        manifest = parse_manifest(campaign, raw)
+        digest = digest_of(manifest)
+        with self._lock:
+            self._manifests[campaign] = (raw, manifest, digest)
+            self._manifests.move_to_end(campaign)
+            while len(self._manifests) > MANIFEST_SLOTS:
+                self._manifests.popitem(last=False)
+        return manifest, digest
+
+    def _manifest(self, prefix: str) -> tuple[str, dict, str]:
+        """Resolve a campaign-id prefix and read its manifest *once*.
+
+        A full id names its manifest file directly; a shorter prefix
+        is matched against the listing.
+        """
+        if FULL_ID.fullmatch(prefix):
+            campaign = prefix
+        else:
+            matches = [
+                campaign
+                for campaign in self.store.list_campaign_ids()
+                if campaign.startswith(prefix)
+            ]
+            if not matches:
+                raise ApiError(
+                    404, "not_found", f"no campaign matching {prefix!r}"
+                )
+            if len(matches) > 1:
+                raise ApiError(
+                    400,
+                    "ambiguous_prefix",
+                    f"campaign prefix {prefix!r} matches "
+                    + ", ".join(m[:16] for m in matches),
+                )
+            campaign = matches[0]
+        read = self._read_manifest(campaign)
+        if read is None:  # absent, or deleted since the listing
+            raise ApiError(
+                404, "not_found", f"no campaign matching {prefix!r}"
+            )
+        return campaign, *read
+
+    def _campaign_list(self) -> tuple[bytes, str]:
+        """The listing's body and ETag, rendered again only when the
+        listed campaigns or one of their manifests changed."""
+        listed: list[tuple[str, dict | None, str | None]] = []
+        for campaign in self.store.list_campaign_ids():
+            try:
+                read = self._read_manifest(campaign)
+            except StoreCorruptionError:
+                self._log.warning(
+                    "serve.corrupt_manifest", campaign=campaign
+                )
+                listed.append((campaign, None, None))
+                continue
+            if read is not None:  # else deleted since the listing
+                listed.append((campaign, *read))
+        inputs = [(campaign, digest) for campaign, _, digest in listed]
+        cached = self._listing
+        if cached is not None and cached[0] == inputs:
+            return cached[1]
         rows: list[dict] = []
-
-        def on_corrupt(campaign: str, exc: StoreCorruptionError) -> None:
-            self._log.warning(
-                "serve.corrupt_manifest", campaign=campaign
-            )
-            rows.append({"campaign": campaign, "corrupt": True})
-
-        for campaign, manifest in self.store.iter_campaigns(
-            on_corrupt=on_corrupt
-        ):
+        for campaign, manifest, _ in listed:
+            if manifest is None:
+                rows.append({"campaign": campaign, "corrupt": True})
+                continue
             countries = manifest.get("countries", {})
             rows.append(
                 {
@@ -337,8 +392,9 @@ class ServeApi:
                     ),
                 }
             )
-        rows.sort(key=lambda row: row["campaign"])
-        return {"campaigns": rows}
+        listing = rendered({"campaigns": rows})
+        self._listing = (inputs, listing)
+        return listing
 
     def _country(self, summary: dict, cc: str) -> dict:
         if cc not in summary["countries"]:
@@ -379,7 +435,7 @@ class ServeApi:
     def _series_list(self) -> dict:
         return {"series": series_listing(self.store)}
 
-    def _trend(self, prefix: str) -> dict:
+    def _trend(self, prefix: str) -> Entry:
         matches = [
             series
             for series in self.store.list_series_ids()
@@ -403,16 +459,16 @@ class ServeApi:
                 404, "not_found", f"no series matching {prefix!r}"
             )
         retired = retired_epochs(ledger.get("entries", []))
-        manifests: dict[str, dict] = {}
+        manifests: dict[str, tuple[dict, str]] = {}
         for entry in ledger.get("entries", []):
             if entry["epoch"] in retired:
                 continue
             campaign = entry["campaign"]
             if campaign in manifests:
                 continue
-            manifest = self.store.load_manifest(campaign)
-            if manifest is not None:
-                manifests[campaign] = manifest
+            read = self._read_manifest(campaign)
+            if read is not None:
+                manifests[campaign] = read
         return self.materializer.trend(series, ledger, manifests)
 
     # ------------------------------------------------------------------
@@ -420,8 +476,8 @@ class ServeApi:
     # ------------------------------------------------------------------
 
     def _whatif(
-        self, campaign: str, manifest: dict, query: dict[str, list[str]]
-    ) -> dict:
+        self, campaign: str, manifest: dict, digest: str, query: dict[str, list[str]]
+    ) -> Entry:
         def param(name: str, default: str | None = None) -> str | None:
             values = query.get(name)
             return values[-1] if values else default
@@ -480,7 +536,7 @@ class ServeApi:
             )
         try:
             return self.materializer.whatif(
-                campaign, manifest, knob, params
+                campaign, manifest, digest, knob, params
             )
         except (UnknownLayerError, EmptyDistributionError) as exc:
             raise ApiError(400, "bad_param", str(exc)) from exc

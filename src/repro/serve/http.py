@@ -4,8 +4,10 @@ Deliberately thin — the handler parses the request line, delegates to
 :meth:`ServeApi.handle`, and writes status/headers/body.  All routing,
 caching, ETag, and error logic lives in :mod:`repro.serve.api` where
 it is testable without a socket.  ``ThreadingHTTPServer`` gives one
-thread per connection; the API layer is thread-safe by construction
-(lock-guarded caches, immutable store objects, atomic manifest reads).
+thread per connection, and a connection that stalls for
+:attr:`ServeHandler.timeout` seconds is closed; the API layer is
+thread-safe by construction (lock-guarded caches, immutable store
+objects, atomic manifest reads).
 """
 
 from __future__ import annotations
@@ -35,6 +37,12 @@ class ServeHandler(BaseHTTPRequestHandler):
     #: response sidesteps both.
     wbufsize = -1
     disable_nagle_algorithm = True
+    #: Socket timeout (s) for every read and write.  A client that
+    #: connects and sends nothing, or stops mid-request, would
+    #: otherwise pin its thread forever; ``handle_one_request`` turns
+    #: the timeout into a closed connection.  Far above the idle gaps
+    #: of a live keep-alive client.
+    timeout = 30
 
     def do_GET(self) -> None:  # noqa: N802 — stdlib naming
         self._respond(head=False)

@@ -17,8 +17,11 @@ its digest, which changes every key derived from it — invalidation is
 free and the stale entries are swept by ``campaigns gc``.  Two cache
 tiers sit above the raw shards:
 
-1. an in-process LRU (payloads by derived key) so a hot query touches
-   no store objects at all, and
+1. an in-process LRU of :class:`Entry` objects by derived key, so a
+   hot query touches no store objects at all.  An entry holds the
+   payload and the encoded body and ETag of every response view cut
+   from it, so a memory hit neither encodes nor hashes; its views are
+   evicted with it;
 2. the on-disk derived entries, so a restarted server rebuilds nothing
    that any earlier process already built.
 
@@ -28,6 +31,7 @@ Builds, disk hits, and memory hits are counted per kind in the shared
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from collections import OrderedDict
 
@@ -48,14 +52,18 @@ from ..datasets.paper_scores import LAYERS
 from ..errors import EmptyDistributionError
 from ..obs.metrics import MetricsRegistry
 from ..pipeline.records import MeasurementDataset
-from ..store.digest import digest_of
+from ..store.digest import canonical_json, digest_of
 from ..store.store import DERIVED_SCHEMA, CampaignStore
 
 __all__ = [
     "MATERIALIZE_VERSION",
+    "Entry",
     "Materializer",
     "campaign_summary",
     "derived_key",
+    "encode_body",
+    "etag_of",
+    "rendered",
 ]
 
 #: Part of every derived key.  Bump whenever a materialized payload's
@@ -65,6 +73,47 @@ MATERIALIZE_VERSION = "repro-materialize-v1"
 
 #: How many providers each per-country summary lists.
 TOP_PROVIDERS = 5
+
+
+def encode_body(payload: object) -> bytes:
+    """Canonical JSON bytes — the one rendering ETags are minted over."""
+    return (canonical_json(payload) + "\n").encode("utf-8")
+
+
+def etag_of(body: bytes) -> str:
+    """Strong content-digest ETag of a response body."""
+    return f'"{hashlib.sha256(body).hexdigest()}"'
+
+
+def rendered(payload: object) -> tuple[bytes, str]:
+    """A payload's response body and its ETag."""
+    body = encode_body(payload)
+    return body, etag_of(body)
+
+
+class Entry:
+    """One memory-tier slot: a payload and the views rendered from it.
+
+    A view is the ``(body, etag)`` of one response cut from the payload
+    (the payload itself, or a slice such as one country), encoded the
+    first time it is asked for.  Two threads may render the same view
+    at once; both produce the same bytes, so the last write is as good
+    as the first.
+    """
+
+    __slots__ = ("payload", "_views")
+
+    def __init__(self, payload: dict) -> None:
+        self.payload = payload
+        self._views: dict[str, tuple[bytes, str]] = {}
+
+    def view(self, name: str, cut=None) -> tuple[bytes, str]:
+        """The body and ETag of view ``name`` (``cut`` slices the payload)."""
+        hit = self._views.get(name)
+        if hit is None:
+            hit = rendered(self.payload if cut is None else cut(self.payload))
+            self._views[name] = hit
+        return hit
 
 
 def derived_key(kind: str, inputs: dict) -> str:
@@ -152,7 +201,7 @@ class Materializer:
     ) -> None:
         self.store = store
         self.registry = registry if registry is not None else MetricsRegistry()
-        self._memory: OrderedDict[str, dict] = OrderedDict()
+        self._memory: OrderedDict[str, Entry] = OrderedDict()
         self._memory_slots = memory_slots
         self._datasets: OrderedDict[str, tuple] = OrderedDict()
         self._lock = threading.Lock()
@@ -168,15 +217,15 @@ class Materializer:
 
     def _materialize(
         self, kind: str, inputs: dict, manifests: tuple[str, ...], build
-    ) -> dict:
+    ) -> Entry:
         """Memory LRU -> disk derived entry -> build (and persist)."""
         key = derived_key(kind, inputs)
         with self._lock:
-            payload = self._memory.get(key)
-            if payload is not None:
+            entry = self._memory.get(key)
+            if entry is not None:
                 self._memory.move_to_end(key)
                 self._outcomes.inc(kind=kind, outcome="memory")
-                return payload
+                return entry
         payload = self.store.get_derived(key)
         if payload is not None:
             self._outcomes.inc(kind=kind, outcome="disk")
@@ -187,16 +236,16 @@ class Materializer:
             # server would: the JSON round-trip normalizes tuples etc.
             payload = self.store.get_derived(key) or payload
             self._outcomes.inc(kind=kind, outcome="build")
+        entry = Entry(payload)
         with self._lock:
-            self._memory[key] = payload
+            self._memory[key] = entry
             self._memory.move_to_end(key)
             while len(self._memory) > self._memory_slots:
                 self._memory.popitem(last=False)
-        return payload
+        return entry
 
-    def dataset(self, manifest: dict) -> MeasurementDataset:
+    def dataset(self, manifest: dict, digest: str) -> MeasurementDataset:
         """The (memory-cached) dataset behind one manifest snapshot."""
-        digest = digest_of(manifest)
         with self._lock:
             hit = self._datasets.get(digest)
             if hit is not None:
@@ -213,10 +262,12 @@ class Materializer:
     # ------------------------------------------------------------------
     # Payload kinds
     # ------------------------------------------------------------------
+    #
+    # Every kind takes each manifest with its digest (``digest_of``),
+    # which the caller computed once when it read the manifest.
 
-    def summary(self, campaign: str, manifest: dict) -> dict:
+    def summary(self, campaign: str, manifest: dict, digest: str) -> Entry:
         """Per-campaign score summary, keyed by the manifest digest."""
-        digest = digest_of(manifest)
         return self._materialize(
             "campaign",
             {"manifest": digest},
@@ -230,10 +281,10 @@ class Materializer:
         campaign_b: str,
         manifest_a: dict,
         manifest_b: dict,
-    ) -> dict:
+        digest_a: str,
+        digest_b: str,
+    ) -> Entry:
         """Campaign diff, keyed by both manifest digests (ordered)."""
-        digest_a = digest_of(manifest_a)
-        digest_b = digest_of(manifest_b)
         return self._materialize(
             "diff",
             {"manifest_a": digest_a, "manifest_b": digest_b},
@@ -248,21 +299,20 @@ class Materializer:
         )
 
     def whatif(
-        self, campaign: str, manifest: dict, knob: str, params: dict
-    ) -> dict:
+        self, campaign: str, manifest: dict, digest: str, knob: str, params: dict
+    ) -> Entry:
         """A counterfactual result, keyed by manifest digest + knob."""
-        digest = digest_of(manifest)
         return self._materialize(
             "whatif",
             {"manifest": digest, "knob": knob, "params": params},
             (digest,),
-            lambda: self._build_whatif(campaign, manifest, knob, params),
+            lambda: self._build_whatif(campaign, manifest, digest, knob, params),
         )
 
     def _build_whatif(
-        self, campaign: str, manifest: dict, knob: str, params: dict
+        self, campaign: str, manifest: dict, digest: str, knob: str, params: dict
     ) -> dict:
-        dataset = self.dataset(manifest)
+        dataset = self.dataset(manifest, digest)
         base = {
             "_schema": DERIVED_SCHEMA,
             "kind": "whatif",
@@ -305,19 +355,18 @@ class Materializer:
         }
 
     def trend(
-        self, series: str, ledger: dict, manifests: dict[str, dict]
-    ) -> dict:
+        self, series: str, ledger: dict, manifests: dict[str, tuple[dict, str]]
+    ) -> Entry:
         """Series trend, keyed by the ledger + every surviving manifest.
 
-        ``manifests`` maps campaign id -> preloaded manifest for every
-        epoch whose manifest still exists; the key digests each of them
-        so a new epoch (or a retirement) invalidates the trend.
+        ``manifests`` maps campaign id -> ``(manifest, digest)`` for
+        every epoch whose manifest still exists; the key holds each
+        digest, so a new epoch (or a retirement) invalidates the trend.
         """
         manifest_digests = {
-            campaign: digest_of(manifest)
-            for campaign, manifest in manifests.items()
+            campaign: digest for campaign, (_, digest) in manifests.items()
         }
-        payload = self._materialize(
+        return self._materialize(
             "trend",
             {
                 "ledger": digest_of(ledger),
@@ -328,8 +377,13 @@ class Materializer:
                 "_schema": DERIVED_SCHEMA,
                 "kind": "trend",
                 **series_trend(
-                    self.store, series, ledger=ledger, manifests=manifests
+                    self.store,
+                    series,
+                    ledger=ledger,
+                    manifests={
+                        campaign: manifest
+                        for campaign, (manifest, _) in manifests.items()
+                    },
                 ),
             },
         )
-        return payload

@@ -52,6 +52,7 @@ __all__ = [
     "MANIFEST_SCHEMA",
     "SERIES_SCHEMA",
     "DERIVED_SCHEMA",
+    "parse_manifest",
 ]
 
 #: Schema tag of stored shard payloads.
@@ -72,6 +73,16 @@ def _atomic_write_text(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
+
+
+def parse_manifest(campaign: str, raw: bytes) -> dict:
+    """Parse a manifest's file bytes (unparseable bytes are corruption)."""
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise StoreCorruptionError(
+            f"manifest {campaign} is corrupt ({exc})"
+        ) from exc
 
 
 def encode_shard(result: CountryResult) -> dict:
@@ -382,17 +393,22 @@ class CampaignStore:
             json.dumps(manifest, sort_keys=True, indent=1),
         )
 
+    def read_manifest_bytes(self, campaign: str) -> bytes | None:
+        """A campaign manifest's file bytes, in one read (None when absent).
+
+        Manifests are replaced whole (temp file + ``os.replace``), so
+        the bytes are one complete version.  A manifest deleted at any
+        point before the read (a watch retirement) reads as absent.
+        """
+        try:
+            return self._manifest_path(campaign).read_bytes()
+        except FileNotFoundError:
+            return None
+
     def load_manifest(self, campaign: str) -> dict | None:
         """Load a campaign manifest (None when absent)."""
-        path = self._manifest_path(campaign)
-        if not path.exists():
-            return None
-        try:
-            return json.loads(path.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise StoreCorruptionError(
-                f"manifest {campaign} is corrupt ({exc})"
-            ) from exc
+        raw = self.read_manifest_bytes(campaign)
+        return None if raw is None else parse_manifest(campaign, raw)
 
     def delete_manifest(self, campaign: str) -> bool:
         """Drop a campaign manifest (and its store-metrics artifact).
@@ -445,7 +461,7 @@ class CampaignStore:
                     raise
                 on_corrupt(campaign, exc)
                 continue
-            if manifest is None:  # pragma: no cover - deleted mid-scan
+            if manifest is None:  # deleted mid-scan
                 continue
             yield campaign, manifest
 

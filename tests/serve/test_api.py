@@ -3,12 +3,21 @@
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import sys
+import threading
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
+from repro.serve import api as api_module
+from repro.serve import materialize as materialize_module
 from repro.serve.api import ServeApi, encode_body, etag_of
-from repro.store import CampaignStore
+from repro.store import MANIFEST_SCHEMA, CampaignStore, digest_of
+from repro.store import store as store_module
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +42,9 @@ def read_path_requests(campaign_ids) -> list[tuple[str, dict]]:
     )
     requests.append(
         (f"/whatif/{base}", {"knob": ["schism"], "country": ["US"]})
+    )
+    requests.append(
+        (f"/whatif/{evolved}", {"knob": ["spof"], "threshold": ["0.2"]})
     )
     return requests
 
@@ -120,6 +132,7 @@ class TestEtagRevalidation:
                 assert revalidated.status == 304, path
                 full = api.handle(path, query)
                 assert full.status == 200, path
+                assert (full.body, full.etag) == (first.body, first.etag)
         finally:
             del store.get_object
         assert reads == []
@@ -133,6 +146,217 @@ class TestEtagRevalidation:
         for kind in ("campaign", "diff", "whatif"):
             assert outcomes.value(kind=kind, outcome="disk") > 0, kind
             assert outcomes.value(kind=kind, outcome="build") == 0, kind
+
+
+def copied_store(served_store, tmp_path) -> Path:
+    """A private copy of the session store, for tests that write."""
+    root = tmp_path / "store"
+    shutil.copytree(served_store, root)
+    return root
+
+
+class TestWarmPath:
+    """A warm request reads its manifest once and reuses the rest."""
+
+    def test_second_pass_parses_digests_and_encodes_nothing(
+        self, served_store, campaign_ids, monkeypatch
+    ):
+        api = ServeApi(CampaignStore(served_store))
+        requests = read_path_requests(campaign_ids)
+        for path, query in requests:
+            assert api.handle(path, query).status == 200, path
+
+        calls: Counter = Counter()
+
+        def counting(name, function, counted):
+            def wrapper(*args, **kwargs):
+                if counted(*args):
+                    calls[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        def is_manifest(payload, *_):
+            return (
+                isinstance(payload, dict)
+                and payload.get("_schema") == MANIFEST_SCHEMA
+            )
+
+        def every(*_):
+            return True
+
+        for module in (api_module, materialize_module, store_module):
+            for name, counted in (
+                ("parse_manifest", every),
+                ("digest_of", is_manifest),
+                ("encode_body", every),
+            ):
+                if hasattr(module, name):
+                    monkeypatch.setattr(
+                        module,
+                        name,
+                        counting(name, getattr(module, name), counted),
+                    )
+        for path, query in requests:
+            assert api.handle(path, query).status == 200, path
+        assert calls == Counter()
+
+    def test_rewrite_keeping_size_and_mtime_is_served(
+        self, served_store, campaign_ids, tmp_path
+    ):
+        """Snapshots are checked against the file's bytes, not its
+        metadata: a same-length rewrite with the old mtime is seen."""
+        base, _ = campaign_ids
+        root = copied_store(served_store, tmp_path)
+        store = CampaignStore(root)
+        api = ServeApi(store)
+        before = api.handle(f"/campaigns/{base}")
+        path = root / "campaigns" / f"{base}.json"
+        stat = path.stat()
+        manifest = store.load_manifest(base)
+        manifest["countries"]["BR"]["object"] = "0" * 64  # no such object
+        store.save_manifest(manifest)
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert path.stat().st_size == stat.st_size
+        assert path.stat().st_mtime_ns == stat.st_mtime_ns
+
+        after = api.handle(f"/campaigns/{base}")
+        assert after.status == 200
+        assert after.etag != before.etag
+        assert json.loads(after.body)["missing"] == ["BR"]
+        fresh = ServeApi(CampaignStore(root)).handle(f"/campaigns/{base}")
+        assert (after.body, after.etag) == (fresh.body, fresh.etag)
+
+    def test_full_id_skips_the_listing(self, served_store, campaign_ids):
+        base, _ = campaign_ids
+        store = CampaignStore(served_store)
+        api = ServeApi(store)
+
+        def refuse():
+            raise RuntimeError("listed campaigns/")
+
+        store.list_campaign_ids = refuse  # type: ignore[method-assign]
+        try:
+            for path, query in read_path_requests(campaign_ids):
+                if path != "/campaigns":
+                    assert api.handle(path, query).status == 200, path
+            short = api.handle(f"/campaigns/{base[:8]}")
+            unknown = api.handle("/campaigns/" + "0" * 64)
+        finally:
+            del store.list_campaign_ids
+        # the short prefix reached the listing, which raised
+        assert short.status == 500
+        assert json.loads(short.body)["error"]["code"] == "internal"
+        assert unknown.status == 404
+        assert json.loads(unknown.body)["error"]["code"] == "not_found"
+
+    def test_racing_readers_keep_bytes_parses_and_views_paired(
+        self, served_store, campaign_ids, tmp_path
+    ):
+        """Threads sharing the kept manifests and views, against a
+        writer flipping the manifest, see only whole responses of one
+        state, and once the writer stops, the state on disk."""
+        base, _ = campaign_ids
+        root = copied_store(served_store, tmp_path)
+        complete = CampaignStore(root).load_manifest(base)
+        partial = json.loads(json.dumps(complete))
+        partial["countries"]["US"]["object"] = None
+        partial["complete"] = False
+        paths = [
+            "/campaigns",
+            f"/campaigns/{base}",
+            f"/campaigns/{base}/layers",
+            f"/campaigns/{base}/countries/BR",
+        ]
+        bodies = {}
+        for state, manifest in (("partial", partial), ("complete", complete)):
+            CampaignStore(root).save_manifest(manifest)
+            fresh = ServeApi(CampaignStore(root))
+            bodies[state] = {path: fresh.handle(path).body for path in paths}
+
+        api = ServeApi(CampaignStore(root))
+        stop = threading.Event()
+        failures: list[str] = []
+
+        def writer():
+            store = CampaignStore(root)
+            flip = True
+            while not stop.is_set():
+                store.save_manifest(complete if flip else partial)
+                flip = not flip
+
+        def reader():
+            for _ in range(100):
+                for path in paths:
+                    response = api.handle(path)
+                    if response.status != 200 or response.etag != etag_of(
+                        response.body
+                    ):
+                        failures.append(f"{path}: {response.status}")
+                    elif all(
+                        response.body != seen[path] for seen in bodies.values()
+                    ):
+                        failures.append(f"{path}: torn body")
+                    # the kept parse and digest are those of the kept bytes
+                    raw, manifest, digest = api._manifests[base]
+                    if manifest != json.loads(raw) or digest != digest_of(
+                        manifest
+                    ):
+                        failures.append(f"{path}: kept bytes unpaired")
+
+        threads = [threading.Thread(target=reader) for _ in range(4)]
+        flipper = threading.Thread(target=writer)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            flipper.start()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            stop.set()
+            flipper.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not flipper.is_alive()
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures, failures[:5]
+        for state, manifest in (("partial", partial), ("complete", complete)):
+            CampaignStore(root).save_manifest(manifest)
+            for path in paths:
+                assert api.handle(path).body == bodies[state][path], path
+
+
+class TestDeletedManifest:
+    def test_manifest_deleted_before_its_read_is_not_found(
+        self, served_store, campaign_ids, tmp_path, monkeypatch
+    ):
+        """A retirement that lands after the listing and an existence
+        check, but before the read, answers 404 and drops the row."""
+        base, evolved = campaign_ids
+        root = copied_store(served_store, tmp_path)
+        store = CampaignStore(root)
+        listing = store.list_campaign_ids()
+        gone = root / "campaigns" / f"{base}.json"
+        gone.unlink()
+        exists = Path.exists
+        monkeypatch.setattr(
+            Path,
+            "exists",
+            lambda path, *args, **kwargs: path == gone
+            or exists(path, *args, **kwargs),
+        )
+        monkeypatch.setattr(store, "list_campaign_ids", lambda: listing)
+
+        assert store.load_manifest(base) is None
+        assert [m["campaign"] for m in store.list_campaigns()] == [evolved]
+        api = ServeApi(store)
+        for prefix in (base, base[:8]):
+            response = api.handle(f"/campaigns/{prefix}")
+            assert response.status == 404, prefix
+            assert json.loads(response.body)["error"]["code"] == "not_found"
+        rows = json.loads(api.handle("/campaigns").body)["campaigns"]
+        assert [row["campaign"] for row in rows] == [evolved]
 
 
 class TestDeterminism:

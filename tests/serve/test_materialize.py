@@ -82,28 +82,40 @@ class TestMaterializer:
         base, evolved = campaign_ids
         manifest_a = store.load_manifest(base)
         manifest_b = store.load_manifest(evolved)
-        # one call per payload kind behind the read path's URLs
+        digest_a = digest_of(manifest_a)
+        digest_b = digest_of(manifest_b)
+        # one call per payload kind behind the read path's URLs; each
+        # returns a memory-tier entry, compared by its payload
         calls = [
-            ("campaign", lambda m: m.summary(base, manifest_a)),
-            ("campaign", lambda m: m.summary(evolved, manifest_b)),
+            (
+                "campaign",
+                lambda m: m.summary(base, manifest_a, digest_a).payload,
+            ),
+            (
+                "campaign",
+                lambda m: m.summary(evolved, manifest_b, digest_b).payload,
+            ),
             (
                 "diff",
-                lambda m: m.diff(base, evolved, manifest_a, manifest_b),
+                lambda m: m.diff(
+                    base, evolved, manifest_a, manifest_b, digest_a, digest_b
+                ).payload,
             ),
             (
                 "whatif",
                 lambda m: m.whatif(
                     base,
                     manifest_a,
+                    digest_a,
                     "outage",
                     {"provider": "Cloudflare", "layer": "hosting"},
-                ),
+                ).payload,
             ),
             (
                 "whatif",
                 lambda m: m.whatif(
-                    base, manifest_a, "schism", {"country": "US"}
-                ),
+                    base, manifest_a, digest_a, "schism", {"country": "US"}
+                ).payload,
             ),
         ]
         kinds = Counter(kind for kind, _ in calls)
@@ -134,11 +146,15 @@ class TestMaterializer:
         store = store_of(served_store)
         materializer = Materializer(store)
         campaign, manifest = only_campaign(store)
-        summary = materializer.summary(campaign, manifest)
+        summary = materializer.summary(
+            campaign, manifest, digest_of(manifest)
+        ).payload
         mutated = json.loads(json.dumps(manifest))
         mutated["complete"] = False
         assert digest_of(mutated) != digest_of(manifest)
-        stale = materializer.summary(campaign, mutated)
+        stale = materializer.summary(
+            campaign, mutated, digest_of(mutated)
+        ).payload
         assert stale["complete"] is False
         assert summary["complete"] is True
 
@@ -171,7 +187,7 @@ class TestGcIntegration:
         run_campaign(spec, store=CampaignStore(tmp_path))
         store = CampaignStore(tmp_path)
         campaign, manifest = only_campaign(store)
-        Materializer(store).summary(campaign, manifest)
+        Materializer(store).summary(campaign, manifest, digest_of(manifest))
         return store, campaign, manifest
 
     def test_gc_keeps_live_derived_objects(self, tmp_path):

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import http.client
 import json
+import math
+import socket
 import threading
 
 import pytest
 
 from repro.serve import serve
+from repro.serve.http import ServeHandler
 
 
 @pytest.fixture(scope="module")
@@ -160,3 +163,36 @@ class TestRestart:
             return out
 
         assert snapshot() == snapshot()
+
+
+class TestStalledConnections:
+    def test_read_timeout_is_finite(self):
+        assert ServeHandler.timeout is not None
+        assert 0 < ServeHandler.timeout < math.inf
+
+    def test_stalled_connections_are_closed(
+        self, served_store, monkeypatch
+    ):
+        """A silent client and one that stops mid-request each lose
+        their connection, and the server still answers the next GET."""
+        monkeypatch.setattr(ServeHandler, "timeout", 0.2)
+        instance = serve(str(served_store), port=0)
+        thread = threading.Thread(
+            target=instance.serve_forever, daemon=True
+        )
+        thread.start()
+        address = instance.server_address[:2]
+        try:
+            for sent in (b"", b"GET /campaigns HTTP/1.1\r\nHost: x\r\n"):
+                with socket.create_connection(address, timeout=10) as raw:
+                    raw.sendall(sent)
+                    assert raw.recv(1) == b""  # closed by the server
+            connection = http.client.HTTPConnection(*address, timeout=10)
+            connection.request("GET", "/campaigns")
+            response = connection.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read())["campaigns"]
+            connection.close()
+        finally:
+            instance.shutdown()
+            instance.server_close()
