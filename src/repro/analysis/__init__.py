@@ -53,8 +53,10 @@ from .series import (
 from .storediff import (
     campaign_dataset,
     campaign_diff,
+    campaign_summary,
     dataset_from_manifest,
     render_campaign_diff,
+    stored_diff,
 )
 from .study import DependenceStudy
 from .whatif import (
@@ -78,8 +80,10 @@ __all__ = [
     "render_critical_path",
     "campaign_dataset",
     "campaign_diff",
+    "campaign_summary",
     "dataset_from_manifest",
     "render_campaign_diff",
+    "stored_diff",
     "render_series_detail",
     "render_series_list",
     "render_series_trend",

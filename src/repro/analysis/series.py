@@ -5,20 +5,22 @@ record — one entry per epoch with status, object footprint, and quota
 decisions.  This module turns it into the ``repro campaigns series``
 views: a one-line-per-series listing and a per-series detail with the
 epoch table plus per-layer centralization deltas between consecutive
-live epochs (reusing :func:`~repro.analysis.storediff.campaign_diff`
+live epochs (reusing :func:`~repro.analysis.storediff.stored_diff`
 when both epochs' manifests are still in the store — retired epochs
-have no manifest to diff).
+have no manifest to diff), and the full-ledger trend, read from each
+epoch's :func:`~repro.analysis.storediff.campaign_summary`.  Ledgers
+load through :meth:`~repro.store.store.CampaignStore.load_series`, so a
+ledger ``fsck`` calls corrupt raises
+:class:`~repro.errors.StoreCorruptionError` here too.
 """
 
 from __future__ import annotations
 
-from ..core.centralization import centralization_score
 from ..datasets.paper_scores import LAYERS
-from ..errors import EmptyDistributionError, PipelineError
+from ..errors import PipelineError
 from ..store.series import live_bytes, retired_epochs, series_listing
 from ..store.store import CampaignStore
-from .layers import LayerAnalysis
-from .storediff import campaign_diff, dataset_from_manifest
+from .storediff import campaign_summary, dataset_from_manifest, stored_diff
 
 __all__ = [
     "render_series_detail",
@@ -126,28 +128,28 @@ def series_trend(
         epochs.append(row)
         if manifest is None:
             continue
-        dataset, missing, _ = dataset_from_manifest(store, manifest)
-        row["missing_countries"] = missing
+        loaded = dataset_from_manifest(store, manifest)
+        summary = campaign_summary(campaign, manifest, loaded)
+        dataset = loaded[0]
+        row["missing_countries"] = summary["missing"]
         epoch_providers: dict[str, set[str]] = {}
         for layer in LAYERS:
-            analysis = LayerAnalysis(dataset, layer)
-            insularity = analysis.insularity
+            table = summary["layers"][layer]
             scores: list[float] = []
             seen: set[str] = set()
-            for cc in dataset.countries:
-                try:
-                    score = centralization_score(
-                        dataset.distribution(cc, layer)
-                    )
-                except EmptyDistributionError:
+            for cc in summary["countries"]:
+                score = table["centralization"][cc]
+                if score is None:
                     continue
                 layer_series[layer]["centralization"].setdefault(
                     cc, []
                 ).append([epoch, score])
                 layer_series[layer]["insularity"].setdefault(
                     cc, []
-                ).append([epoch, insularity[cc]])
+                ).append([epoch, table["insularity"][cc]])
                 scores.append(score)
+                # The summary lists five providers per country; entry
+                # and exit events need them all.
                 seen.update(
                     name
                     for name, _ in dataset.distribution(
@@ -283,9 +285,7 @@ def render_series_detail(
         and store.load_manifest(entries[i]["campaign"]) is not None
     ]
     for earlier, later in pairs:
-        diff = campaign_diff(
-            store, earlier["campaign"], later["campaign"]
-        )
+        diff = stored_diff(store, earlier["campaign"], later["campaign"])
         out.append("")
         out.append(
             f"-- epoch {earlier['epoch']} -> {later['epoch']} "

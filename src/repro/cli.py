@@ -745,32 +745,6 @@ def _cmd_longitudinal(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_id(store, kind: str, prefix: str) -> str:
-    """Expand a campaign- or series-id prefix against the store's ids.
-
-    Matches over the id listing alone, as ``repro serve`` does, so a
-    damaged manifest or ledger never breaks the lookup of another one.
-    """
-    from .errors import PipelineError
-
-    ids = (
-        store.list_campaign_ids()
-        if kind == "campaign"
-        else store.list_series_ids()
-    )
-    matches = [full for full in ids if full.startswith(prefix)]
-    if len(matches) == 1:
-        return matches[0]
-    if not matches:
-        raise PipelineError(
-            f"no {kind} matching {prefix!r} in {store.root}"
-        )
-    raise PipelineError(
-        f"{kind} prefix {prefix!r} is ambiguous: "
-        f"{', '.join(m[:16] for m in matches)}"
-    )
-
-
 def _cmd_measure(args: argparse.Namespace) -> int:
     from .errors import PipelineError
     from .faults import render_failure_report
@@ -815,7 +789,7 @@ def _cmd_measure(args: argparse.Namespace) -> int:
 
         store = CampaignStore(args.store)
         if args.since:
-            baseline = _resolve_id(store, "campaign", args.since)
+            baseline = store.resolve_id("campaign", args.since)
     elif args.resume or args.since:
         raise PipelineError("--resume/--since require --store DIR")
     countries = spec.resolved_countries()
@@ -1142,8 +1116,13 @@ def _cmd_campaigns(args: argparse.Namespace) -> int:
     if args.subcommand == "show":
         import json as json_module
 
-        campaign = _resolve_id(store, "campaign", args.campaign)
-        manifest = store.load_manifest(campaign)
+        from .errors import UnknownIdError
+
+        manifest = store.load_manifest(
+            store.resolve_id("campaign", args.campaign)
+        )
+        if manifest is None:
+            raise UnknownIdError("campaign", args.campaign)
         print(json_module.dumps(manifest, indent=2, sort_keys=True))
         return 0
     if args.subcommand == "diff":
@@ -1152,8 +1131,8 @@ def _cmd_campaigns(args: argparse.Namespace) -> int:
         print(
             render_campaign_diff(
                 store,
-                _resolve_id(store, "campaign", args.campaign_a),
-                _resolve_id(store, "campaign", args.campaign_b),
+                store.resolve_id("campaign", args.campaign_a),
+                store.resolve_id("campaign", args.campaign_b),
                 top=args.top,
             )
         )
@@ -1170,14 +1149,14 @@ def _cmd_campaigns(args: argparse.Namespace) -> int:
             print(render_series_list(store))
         elif args.trend:
             trend = series_trend(
-                store, _resolve_id(store, "series", args.series)
+                store, store.resolve_id("series", args.series)
             )
             print(render_series_trend(trend, top=args.top))
         else:
             print(
                 render_series_detail(
                     store,
-                    _resolve_id(store, "series", args.series),
+                    store.resolve_id("series", args.series),
                     top=args.top,
                 )
             )

@@ -107,3 +107,14 @@ class StoreCorruptionError(PipelineError):
     can distinguish "your store is damaged, run ``repro campaigns
     fsck --repair``" from programming errors.
     """
+
+
+class UnknownIdError(PipelineError):
+    """Raised when no stored campaign or series matches an id prefix."""
+
+    def __init__(self, kind: str, prefix: str) -> None:
+        super().__init__(f"no {kind} matching {prefix!r}")
+
+
+class AmbiguousIdError(PipelineError):
+    """Raised when an id prefix matches several stored campaigns or series."""

@@ -7,27 +7,32 @@ and returns a :class:`Response`.  The HTTP front end
 here, so the full endpoint surface is exercisable without a socket.
 
 Consistency under concurrent writers: each request reads any manifest
-it needs **exactly once** (an atomic whole-file read — the store
-writes via temp-file + ``os.replace``) and every downstream
-computation, cache key, and ETag derives from that one snapshot.  The
-shards a manifest references are immutable and were written before the
-manifest named them, so a reader sees the old campaign state or the
-new one, never a torn mixture.
+or series ledger it needs **exactly once** (an atomic whole-file read
+— the store writes via temp-file + ``os.replace``) and every
+downstream computation, cache key, and ETag derives from that one
+snapshot.  The shards a manifest references are immutable and were
+written before the manifest named them, so a reader sees the old
+campaign state or the new one, never a torn mixture.
 
-A warm request by full campaign id makes that read its only file
-access, and parses, encodes and hashes nothing apart from the short
-derived key:
+A warm request by full id makes those reads its only file accesses,
+and parses, encodes and hashes nothing apart from the short derived
+key:
 
-* The API keeps each manifest it parsed with the exact bytes it was
-  parsed from and its digest.  A read whose bytes equal the kept ones
-  reuses both, so a manifest is parsed and digested once per change.
-  File metadata (size, mtime, inode) is never trusted: manifests are
-  rewritten in place through ``os.replace``.
-* A full campaign id (64 hex characters) names its manifest file
-  directly; a shorter prefix is resolved by listing ``campaigns/``.
+* The API keeps each manifest and ledger it parsed with the exact
+  bytes it was parsed from and its digest.  A read whose bytes equal
+  the kept ones reuses both, so a document is parsed and digested once
+  per change.  File metadata (size, mtime, inode) is never trusted:
+  manifests and ledgers are rewritten in place through ``os.replace``.
+* A full campaign or series id (64 hex characters) names its file
+  directly; a shorter prefix is resolved by listing the directory
+  (:meth:`~repro.store.store.CampaignStore.resolve_id`, the resolver
+  the CLI uses too).
 * Response bodies and ETags are views kept in the materializer's
   memory-tier entries (:class:`~repro.serve.materialize.Entry`), so a
   memory hit neither encodes nor hashes.
+
+A damaged manifest or ledger answers 500 ``store_corruption``, the
+same verdict ``repro campaigns fsck`` gives it.
 
 ETags are the sha256 of the response body bytes (quoted, strong).
 Bodies are canonical JSON of deterministic payloads, so identical
@@ -41,16 +46,17 @@ and never contain a traceback.
 
 from __future__ import annotations
 
-import re
 import threading
 import time
 from collections import OrderedDict
 
 from ..analysis.storediff import manifest_snapshot
 from ..errors import (
+    AmbiguousIdError,
     EmptyDistributionError,
     PipelineError,
     StoreCorruptionError,
+    UnknownIdError,
     UnknownLayerError,
 )
 from ..obs.log import get_logger
@@ -58,7 +64,7 @@ from ..obs.metrics import MetricsRegistry
 from ..pipeline.records import LAYER_FIELDS
 from ..store.digest import digest_of
 from ..store.series import retired_epochs, series_listing
-from ..store.store import CampaignStore, parse_manifest
+from ..store.store import CampaignStore, parse_manifest, parse_series
 from .materialize import Entry, Materializer, encode_body, etag_of, rendered
 
 __all__ = ["ApiError", "Response", "ServeApi", "ENDPOINTS"]
@@ -77,12 +83,9 @@ ENDPOINTS = (
     "/metrics",
 )
 
-#: Manifests kept parsed and digested, by campaign id (LRU).
+#: Manifests (and, separately, ledgers) kept parsed and digested, by
+#: id (LRU).
 MANIFEST_SLOTS = 128
-
-#: A full campaign id (:func:`~repro.store.digest.campaign_id`) names
-#: its manifest file directly, without listing ``campaigns/``.
-FULL_ID = re.compile(r"[0-9a-f]{64}")
 
 JSON = "application/json"
 
@@ -104,6 +107,10 @@ class ApiError(Exception):
                 "message": self.message,
             }
         }
+
+    def response(self) -> "Response":
+        """The error as a finished response (errors carry no ETag)."""
+        return Response(self.status, encode_body(self.payload()), None)
 
 
 class Response:
@@ -157,6 +164,8 @@ class ServeApi:
         self._log = get_logger("repro.serve")
         #: campaign id -> (manifest bytes, parsed manifest, digest).
         self._manifests: OrderedDict[str, tuple[bytes, dict, str]] = OrderedDict()
+        #: series id -> (ledger bytes, parsed ledger, digest).
+        self._ledgers: OrderedDict[str, tuple[bytes, dict, str]] = OrderedDict()
         #: The campaign listing's inputs and its rendered response.
         self._listing: tuple[list, tuple[bytes, str]] | None = None
         self._lock = threading.Lock()
@@ -198,32 +207,22 @@ class ServeApi:
             else:
                 response = Response(200, body, etag, content_type)
         except ApiError as exc:
-            response = Response(
-                exc.status, encode_body(exc.payload()), None
-            )
+            response = exc.response()
+        except UnknownIdError as exc:
+            response = ApiError(404, "not_found", str(exc)).response()
+        except AmbiguousIdError as exc:
+            response = ApiError(400, "ambiguous_prefix", str(exc)).response()
         except StoreCorruptionError as exc:
-            response = Response(
-                500,
-                encode_body(
-                    ApiError(500, "store_corruption", str(exc)).payload()
-                ),
-                None,
-            )
+            response = ApiError(500, "store_corruption", str(exc)).response()
         except Exception as exc:  # noqa: BLE001 — the no-traceback wall
             self._log.error(
                 "serve.internal_error",
                 path=path,
                 error=type(exc).__name__,
             )
-            response = Response(
-                500,
-                encode_body(
-                    ApiError(
-                        500, "internal", "internal server error"
-                    ).payload()
-                ),
-                None,
-            )
+            response = ApiError(
+                500, "internal", "internal server error"
+            ).response()
         self._requests.inc(
             endpoint=endpoint, status=str(response.status)
         )
@@ -296,62 +295,47 @@ class ServeApi:
     # Resource resolution
     # ------------------------------------------------------------------
 
-    def _read_manifest(self, campaign: str) -> tuple[dict, str] | None:
-        """``(manifest, digest)`` from one whole read of the file.
+    def _snapshot(
+        self, kept: OrderedDict, name: str, raw: bytes | None, parse
+    ) -> tuple[dict, str] | None:
+        """``(document, digest)`` of one whole read of a file (``raw``).
 
         Equal bytes reuse the kept parse and digest; new bytes are
-        parsed and digested once.  Never file metadata: manifests are
-        rewritten in place through ``os.replace``.  Kept manifests are
-        shared, so callers only read them.
+        parsed and digested once.  Never file metadata: manifests and
+        ledgers are rewritten in place through ``os.replace``.  Kept
+        documents are shared, so callers only read them.
         """
-        raw = self.store.read_manifest_bytes(campaign)
         if raw is None:
             return None
         with self._lock:
-            kept = self._manifests.get(campaign)
-            if kept is not None and kept[0] == raw:
-                self._manifests.move_to_end(campaign)
-                return kept[1], kept[2]
-        manifest = parse_manifest(campaign, raw)
-        digest = digest_of(manifest)
+            hit = kept.get(name)
+            if hit is not None and hit[0] == raw:
+                kept.move_to_end(name)
+                return hit[1], hit[2]
+        document = parse(name, raw)
+        digest = digest_of(document)
         with self._lock:
-            self._manifests[campaign] = (raw, manifest, digest)
-            self._manifests.move_to_end(campaign)
-            while len(self._manifests) > MANIFEST_SLOTS:
-                self._manifests.popitem(last=False)
-        return manifest, digest
+            kept[name] = (raw, document, digest)
+            kept.move_to_end(name)
+            while len(kept) > MANIFEST_SLOTS:
+                kept.popitem(last=False)
+        return document, digest
+
+    def _read_manifest(self, campaign: str) -> tuple[dict, str] | None:
+        """``(manifest, digest)``, or None when the manifest is absent."""
+        return self._snapshot(
+            self._manifests,
+            campaign,
+            self.store.read_manifest_bytes(campaign),
+            parse_manifest,
+        )
 
     def _manifest(self, prefix: str) -> tuple[str, dict, str]:
-        """Resolve a campaign-id prefix and read its manifest *once*.
-
-        A full id names its manifest file directly; a shorter prefix
-        is matched against the listing.
-        """
-        if FULL_ID.fullmatch(prefix):
-            campaign = prefix
-        else:
-            matches = [
-                campaign
-                for campaign in self.store.list_campaign_ids()
-                if campaign.startswith(prefix)
-            ]
-            if not matches:
-                raise ApiError(
-                    404, "not_found", f"no campaign matching {prefix!r}"
-                )
-            if len(matches) > 1:
-                raise ApiError(
-                    400,
-                    "ambiguous_prefix",
-                    f"campaign prefix {prefix!r} matches "
-                    + ", ".join(m[:16] for m in matches),
-                )
-            campaign = matches[0]
+        """Resolve a campaign-id prefix and read its manifest *once*."""
+        campaign = self.store.resolve_id("campaign", prefix)
         read = self._read_manifest(campaign)
         if read is None:  # absent, or deleted since the listing
-            raise ApiError(
-                404, "not_found", f"no campaign matching {prefix!r}"
-            )
+            raise UnknownIdError("campaign", prefix)
         return campaign, *read
 
     def _campaign_list(self) -> tuple[bytes, str]:
@@ -436,28 +420,16 @@ class ServeApi:
         return {"series": series_listing(self.store)}
 
     def _trend(self, prefix: str) -> Entry:
-        matches = [
-            series
-            for series in self.store.list_series_ids()
-            if series.startswith(prefix)
-        ]
-        if not matches:
-            raise ApiError(
-                404, "not_found", f"no series matching {prefix!r}"
-            )
-        if len(matches) > 1:
-            raise ApiError(
-                400,
-                "ambiguous_prefix",
-                f"series prefix {prefix!r} matches "
-                + ", ".join(m[:16] for m in matches),
-            )
-        series = matches[0]
-        ledger = self.store.load_series(series)
-        if ledger is None:
-            raise ApiError(
-                404, "not_found", f"no series matching {prefix!r}"
-            )
+        series = self.store.resolve_id("series", prefix)
+        read = self._snapshot(
+            self._ledgers,
+            series,
+            self.store.read_series_bytes(series),
+            parse_series,
+        )
+        if read is None:  # absent, or deleted since the listing
+            raise UnknownIdError("series", prefix)
+        ledger, ledger_digest = read
         retired = retired_epochs(ledger.get("entries", []))
         manifests: dict[str, tuple[dict, str]] = {}
         for entry in ledger.get("entries", []):
@@ -469,7 +441,7 @@ class ServeApi:
             read = self._read_manifest(campaign)
             if read is not None:
                 manifests[campaign] = read
-        return self.materializer.trend(series, ledger, manifests)
+        return self.materializer.trend(series, ledger, ledger_digest, manifests)
 
     # ------------------------------------------------------------------
     # What-if knobs

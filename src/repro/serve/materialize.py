@@ -26,7 +26,12 @@ tiers sit above the raw shards:
    that any earlier process already built.
 
 Builds, disk hits, and memory hits are counted per kind in the shared
-:class:`~repro.obs.metrics.MetricsRegistry`.
+:class:`~repro.obs.metrics.MetricsRegistry`.  Summary, diff and
+what-if builds take their dataset from a third, smaller tier: the
+datasets of the last eight manifest snapshots, keyed by manifest
+digest.  The tables themselves come from
+:func:`~repro.analysis.storediff.campaign_summary` alone; a diff build
+subtracts two of them.
 """
 
 from __future__ import annotations
@@ -35,21 +40,17 @@ import hashlib
 import threading
 from collections import OrderedDict
 
-from ..analysis.layers import LayerAnalysis
 from ..analysis.series import series_trend
 from ..analysis.storediff import (
     campaign_diff,
+    campaign_summary,
     dataset_from_manifest,
-    manifest_snapshot,
 )
 from ..analysis.whatif import (
     country_schism,
     provider_outage,
     single_points_of_failure,
 )
-from ..core.centralization import centralization_score
-from ..datasets.paper_scores import LAYERS
-from ..errors import EmptyDistributionError
 from ..obs.metrics import MetricsRegistry
 from ..pipeline.records import MeasurementDataset
 from ..store.digest import canonical_json, digest_of
@@ -59,7 +60,6 @@ __all__ = [
     "MATERIALIZE_VERSION",
     "Entry",
     "Materializer",
-    "campaign_summary",
     "derived_key",
     "encode_body",
     "etag_of",
@@ -70,9 +70,6 @@ __all__ = [
 #: shape or semantics change: old entries then simply never match and
 #: are swept by gc, instead of being served in the stale shape.
 MATERIALIZE_VERSION = "repro-materialize-v1"
-
-#: How many providers each per-country summary lists.
-TOP_PROVIDERS = 5
 
 
 def encode_body(payload: object) -> bytes:
@@ -125,62 +122,6 @@ def derived_key(kind: str, inputs: dict) -> str:
             "inputs": inputs,
         }
     )
-
-
-def campaign_summary(
-    store: CampaignStore, campaign: str, manifest: dict
-) -> dict:
-    """The full per-campaign summary payload (pure function of inputs).
-
-    Tolerates partial campaigns: countries without a stored shard are
-    reported in ``missing`` and excluded from the per-layer tables, so
-    a campaign mid-measurement is servable at every point.
-    """
-    dataset, missing, quarantined = dataset_from_manifest(store, manifest)
-    layers: dict[str, dict] = {}
-    for layer in LAYERS:
-        analysis = LayerAnalysis(dataset, layer)
-        insularity = analysis.insularity
-        scores: dict[str, float | None] = {}
-        top: dict[str, list] = {}
-        for cc in dataset.countries:
-            try:
-                distribution = dataset.distribution(cc, layer)
-            except EmptyDistributionError:
-                scores[cc] = None
-                top[cc] = []
-                continue
-            scores[cc] = centralization_score(distribution)
-            top[cc] = [
-                [name, count / distribution.total]
-                for name, count in distribution.ranked()[:TOP_PROVIDERS]
-            ]
-        ranking = sorted(
-            (
-                (cc, score)
-                for cc, score in scores.items()
-                if score is not None
-            ),
-            key=lambda kv: (-kv[1], kv[0]),
-        )
-        layers[layer] = {
-            "centralization": scores,
-            "insularity": insularity,
-            "ranking": [[cc, score] for cc, score in ranking],
-            "top_providers": top,
-        }
-    return {
-        "_schema": DERIVED_SCHEMA,
-        "kind": "campaign",
-        "campaign": campaign,
-        "snapshot": manifest_snapshot(manifest),
-        "baseline": manifest.get("baseline"),
-        "complete": manifest.get("complete", False),
-        "countries": dataset.countries,
-        "missing": missing,
-        "quarantined": quarantined,
-        "layers": layers,
-    }
 
 
 class Materializer:
@@ -244,20 +185,23 @@ class Materializer:
                 self._memory.popitem(last=False)
         return entry
 
-    def dataset(self, manifest: dict, digest: str) -> MeasurementDataset:
-        """The (memory-cached) dataset behind one manifest snapshot."""
+    def dataset(
+        self, manifest: dict, digest: str
+    ) -> tuple[MeasurementDataset, list[str], list[str]]:
+        """:func:`~repro.analysis.storediff.dataset_from_manifest` of
+        one manifest snapshot, memory-cached by its digest."""
         with self._lock:
             hit = self._datasets.get(digest)
             if hit is not None:
                 self._datasets.move_to_end(digest)
-                return hit[0]
+                return hit
         built = dataset_from_manifest(self.store, manifest)
         with self._lock:
             self._datasets[digest] = built
             self._datasets.move_to_end(digest)
             while len(self._datasets) > 8:
                 self._datasets.popitem(last=False)
-        return built[0]
+        return built
 
     # ------------------------------------------------------------------
     # Payload kinds
@@ -272,7 +216,9 @@ class Materializer:
             "campaign",
             {"manifest": digest},
             (digest,),
-            lambda: campaign_summary(self.store, campaign, manifest),
+            lambda: campaign_summary(
+                campaign, manifest, self.dataset(manifest, digest)
+            ),
         )
 
     def diff(
@@ -290,11 +236,14 @@ class Materializer:
             {"manifest_a": digest_a, "manifest_b": digest_b},
             (digest_a, digest_b),
             lambda: campaign_diff(
-                self.store,
-                campaign_a,
-                campaign_b,
-                manifest_a=manifest_a,
-                manifest_b=manifest_b,
+                manifest_a,
+                manifest_b,
+                campaign_summary(
+                    campaign_a, manifest_a, self.dataset(manifest_a, digest_a)
+                ),
+                campaign_summary(
+                    campaign_b, manifest_b, self.dataset(manifest_b, digest_b)
+                ),
             ),
         )
 
@@ -312,7 +261,7 @@ class Materializer:
     def _build_whatif(
         self, campaign: str, manifest: dict, digest: str, knob: str, params: dict
     ) -> dict:
-        dataset = self.dataset(manifest, digest)
+        dataset = self.dataset(manifest, digest)[0]
         base = {
             "_schema": DERIVED_SCHEMA,
             "kind": "whatif",
@@ -355,7 +304,11 @@ class Materializer:
         }
 
     def trend(
-        self, series: str, ledger: dict, manifests: dict[str, tuple[dict, str]]
+        self,
+        series: str,
+        ledger: dict,
+        ledger_digest: str,
+        manifests: dict[str, tuple[dict, str]],
     ) -> Entry:
         """Series trend, keyed by the ledger + every surviving manifest.
 
@@ -369,7 +322,7 @@ class Materializer:
         return self._materialize(
             "trend",
             {
-                "ledger": digest_of(ledger),
+                "ledger": ledger_digest,
                 "manifests": manifest_digests,
             },
             tuple(sorted(manifest_digests.values())),

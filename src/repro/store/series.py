@@ -145,14 +145,19 @@ def live_bytes(entries: list[dict]) -> int:
 def series_listing(store: "CampaignStore") -> list[dict]:
     """One summary row per stored ledger, sorted by series id.
 
-    The rows behind ``repro campaigns series`` and ``GET /series``; an
-    unreadable ledger gets a ``{"series": id, "corrupt": true}`` row.
+    The rows behind ``repro campaigns series`` and ``GET /series``; a
+    ledger :meth:`~repro.store.store.CampaignStore.load_series` rejects
+    gets a ``{"series": id, "corrupt": true}`` row, and one deleted
+    since the listing gets none.
     """
     rows: list[dict] = []
     for series in store.list_series_ids():
-        payload = store.load_series(series)
-        if payload is None:
+        try:
+            payload = store.load_series(series)
+        except StoreCorruptionError:
             rows.append({"series": series, "corrupt": True})
+            continue
+        if payload is None:
             continue
         entries = payload.get("entries", [])
         rows.append(
@@ -184,44 +189,15 @@ class SeriesLedger:
         self.recipe = recipe
         self.series = series_id(recipe)
         self._schema = SERIES_SCHEMA
-        self.entries: list[dict] = []
-        self._load()
+        payload = store.load_series(self.series)
+        self.entries: list[dict] = (
+            [] if payload is None else payload.get("entries", [])
+        )
 
     @property
     def path(self):
         """The ledger's on-disk location."""
         return self.store.series_path(self.series)
-
-    def _load(self) -> None:
-        path = self.path
-        if not path.exists():
-            return
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise StoreCorruptionError(
-                f"series ledger {self.series[:16]} is corrupt "
-                f"(unparseable JSON: {exc}); run `repro campaigns "
-                f"fsck`"
-            ) from exc
-        if (
-            not isinstance(payload, dict)
-            or payload.get("_schema") != self._schema
-            or payload.get("series") != self.series
-        ):
-            raise StoreCorruptionError(
-                f"series ledger {self.series[:16]} is corrupt "
-                f"(wrong schema or series id); run `repro campaigns "
-                f"fsck`"
-            )
-        entries = payload.get("entries", [])
-        for epoch, entry in enumerate(entries):
-            if not isinstance(entry, dict) or entry.get("epoch") != epoch:
-                raise StoreCorruptionError(
-                    f"series ledger {self.series[:16]} is corrupt "
-                    f"(non-contiguous epochs at position {epoch})"
-                )
-        self.entries = entries
 
     def append(self, entry: dict) -> None:
         """Validate and durably append one epoch entry."""
@@ -292,10 +268,3 @@ class SeriesLedger:
 
         _atomic_write_text(path, render_metrics_json(merged))
         return merged
-
-    def load_watch_metrics(self) -> dict | None:
-        """The merged watch telemetry payload (None when absent)."""
-        path = self.store.watch_metrics_path(self.series)
-        if not path.exists():
-            return None
-        return json.loads(path.read_text(encoding="utf-8"))

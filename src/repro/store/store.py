@@ -15,30 +15,46 @@ its canonical JSON and never modified.  The index maps the
 *input-keyed* identity of a shard (:func:`repro.store.digest.shard_key`)
 to the content digest of its result, which is what lets a resumed or
 incremental run answer "has this exact measurement already been done?"
-with a single file stat.  Manifests record which shards a campaign
+with a single file read.  Manifests record which shards a campaign
 comprises and whether it ran to completion; they are the GC root set.
 
 All writes go through a temp-file + :func:`os.replace` so a crash
 mid-write never leaves a torn object — but disks, not just crashes,
 corrupt stores: bit flips, truncation by a full filesystem, a crash
-*inside* the page cache flush.  Loads therefore verify: every object
-read re-hashes its payload against its filename and raises a typed
-:class:`~repro.errors.StoreCorruptionError` on any mismatch or parse
-failure, and :meth:`CampaignStore.fsck` sweeps the whole store
-(``repro campaigns fsck [--repair]``), so a damaged store degrades
-into "re-measure exactly these countries" instead of silent reuse of
-bad data.  Orphaned ``*.tmp`` files (a crash between tmp-write and
-``os.replace``) are swept on store open.
+*inside* the page cache flush.  Loads therefore verify.  Each kind of
+stored document has exactly one parser — :func:`parse_object` (which
+re-hashes the payload against its filename), :func:`parse_entry` (index
+and derived entries), :func:`parse_manifest` and :func:`parse_series`
+— and each raises a typed :class:`~repro.errors.StoreCorruptionError`
+with one message per kind of damage.  Readers only decide what that
+verdict means: a shard load raises, a derived-entry load self-heals,
+:meth:`CampaignStore.fsck` reports (``repro campaigns fsck
+[--repair]``), a listing marks the row corrupt, and :meth:`~CampaignStore.gc`
+counts a derived entry stale.  So a damaged store degrades into
+"re-measure exactly these countries" instead of silent reuse of bad
+data, and no two readers disagree about what is damaged.  Orphaned
+``*.tmp`` files (a crash between tmp-write and ``os.replace``) are
+swept on store open.
+
+Campaign and series ids are resolved from a prefix in one place,
+:meth:`CampaignStore.resolve_id`: a full 64-hex id names its file
+without listing the directory.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..errors import PipelineError, StoreCorruptionError
+from ..errors import (
+    AmbiguousIdError,
+    PipelineError,
+    StoreCorruptionError,
+    UnknownIdError,
+)
 from ..obs.metrics import render_metrics_json
 from ..pipeline.export import rows_from_csv_text, rows_to_csv_text
 from ..pipeline.parallel import CountryResult
@@ -52,7 +68,10 @@ __all__ = [
     "MANIFEST_SCHEMA",
     "SERIES_SCHEMA",
     "DERIVED_SCHEMA",
+    "parse_entry",
     "parse_manifest",
+    "parse_object",
+    "parse_series",
 ]
 
 #: Schema tag of stored shard payloads.
@@ -69,20 +88,123 @@ SERIES_SCHEMA = "repro-series-v1"
 DERIVED_SCHEMA = "repro-derived-v1"
 
 
+#: A full campaign or series id (a sha256 hex digest): it names its
+#: file directly, so resolving it needs no directory listing.
+_FULL_ID = re.compile(r"[0-9a-f]{64}")
+
+
 def _atomic_write_text(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
 
 
-def parse_manifest(campaign: str, raw: bytes) -> dict:
-    """Parse a manifest's file bytes (unparseable bytes are corruption)."""
+def _read(path: Path) -> bytes | None:
+    """A file's bytes in one read (None when absent)."""
     try:
-        return json.loads(raw.decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        return path.read_bytes()
+    except FileNotFoundError:
+        return None
+
+
+def _corrupt(what: str, reason: object, fix: str) -> StoreCorruptionError:
+    return StoreCorruptionError(
+        f"{what} is corrupt ({reason}); run `repro campaigns {fix}`"
+    )
+
+
+def parse_object(digest: str, raw: bytes) -> dict:
+    """Parse an object file's bytes and verify them against ``digest``.
+
+    The payload is re-hashed, so a truncated or bit-flipped object is
+    corruption, never a different payload.
+    """
+    what = f"object {digest}"
+    try:
+        payload = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:
+        raise _corrupt(what, f"unparseable JSON: {exc}", "fsck --repair") from exc
+    try:
+        actual = digest_of(payload)
+    except (ValueError, TypeError) as exc:
+        # json.loads accepts things canonical JSON cannot re-encode
+        # (lone surrogates from a bit-flipped escape): unhashable
+        # content is corrupt content.
+        raise _corrupt(what, f"unhashable payload: {exc}", "fsck --repair") from exc
+    if actual != digest:
         raise StoreCorruptionError(
-            f"manifest {campaign} is corrupt ({exc})"
-        ) from exc
+            f"{what} fails content verification (payload hashes to "
+            f"{actual}); run `repro campaigns fsck --repair`"
+        )
+    return payload
+
+
+def parse_entry(kind: str, key: str, raw: bytes) -> dict:
+    """Parse an ``index`` or ``derived`` entry: a JSON object whose
+    ``object`` names a stored object (and, for a derived entry, whose
+    ``manifests`` list its input manifest digests)."""
+    what = f"{kind} entry {key}"
+    try:
+        entry = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:
+        raise _corrupt(what, f"unparseable JSON: {exc}", "fsck --repair") from exc
+    if not isinstance(entry, dict):
+        raise _corrupt(what, "not an object", "fsck --repair")
+    if not isinstance(entry.get("object"), str) or not isinstance(
+        entry.get("manifests", []), list
+    ):
+        raise _corrupt(what, "malformed entry", "fsck --repair")
+    return entry
+
+
+def _entry_at(kind: str, path: Path) -> dict | None:
+    """:func:`parse_entry` of an entry file, None when it is corrupt."""
+    try:
+        return parse_entry(kind, path.stem, path.read_bytes())
+    except StoreCorruptionError:
+        return None
+
+
+def parse_manifest(campaign: str, raw: bytes) -> dict:
+    """Parse a manifest's file bytes (damage is reported, never repaired)."""
+    what = f"manifest {campaign}"
+    try:
+        manifest = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:
+        raise _corrupt(what, f"unparseable JSON: {exc}", "fsck") from exc
+    if not isinstance(manifest, dict) or manifest.get("_schema") != MANIFEST_SCHEMA:
+        raise _corrupt(what, "wrong schema", "fsck")
+    return manifest
+
+
+def parse_series(series: str, raw: bytes) -> dict:
+    """Parse a series ledger's file bytes.
+
+    A ledger is valid when it parses, carries the series schema and its
+    own id, and its entries hold the contiguous epochs ``0..n-1`` — the
+    rules the watch resumes by, so every reader gives a ledger the
+    verdict ``repro watch --resume-series`` would.
+    """
+    what = f"series ledger {series[:16]}"
+    try:
+        ledger = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:
+        raise _corrupt(what, f"unparseable JSON: {exc}", "fsck") from exc
+    if (
+        not isinstance(ledger, dict)
+        or ledger.get("_schema") != SERIES_SCHEMA
+        or ledger.get("series") != series
+    ):
+        raise _corrupt(what, "wrong schema or series id", "fsck")
+    entries = ledger.get("entries", [])
+    if not isinstance(entries, list):
+        raise _corrupt(what, "entries are not a list", "fsck")
+    for epoch, entry in enumerate(entries):
+        if not isinstance(entry, dict) or entry.get("epoch") != epoch:
+            raise _corrupt(
+                what, f"non-contiguous epochs at position {epoch}", "fsck"
+            )
+    return ledger
 
 
 def encode_shard(result: CountryResult) -> dict:
@@ -217,32 +339,8 @@ class CampaignStore:
         :class:`~repro.errors.StoreCorruptionError` instead of feeding
         damaged data into a resume.
         """
-        path = self._object_path(digest)
-        if not path.exists():
-            return None
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise StoreCorruptionError(
-                f"object {digest} is corrupt (unparseable JSON: {exc}); "
-                f"run `repro campaigns fsck --repair`"
-            ) from exc
-        try:
-            actual = digest_of(payload)
-        except (UnicodeEncodeError, ValueError, TypeError) as exc:
-            # json.loads accepts things canonical JSON cannot re-encode
-            # (lone surrogates from a bit-flipped escape): unhashable
-            # content is corrupt content.
-            raise StoreCorruptionError(
-                f"object {digest} is corrupt (unhashable payload: "
-                f"{exc}); run `repro campaigns fsck --repair`"
-            ) from exc
-        if actual != digest:
-            raise StoreCorruptionError(
-                f"object {digest} fails content verification (payload "
-                f"hashes to {actual}); run `repro campaigns fsck --repair`"
-            )
-        return payload
+        raw = _read(self._object_path(digest))
+        return None if raw is None else parse_object(digest, raw)
 
     def object_size(self, digest: str) -> int | None:
         """On-disk byte size of a stored object (None when absent).
@@ -285,22 +383,8 @@ class CampaignStore:
 
     def shard_digest(self, key: str) -> str | None:
         """The object digest a shard key resolves to (None when absent)."""
-        path = self._index_path(key)
-        if not path.exists():
-            return None
-        try:
-            entry = json.loads(path.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise StoreCorruptionError(
-                f"index entry {key} is corrupt ({exc}); run "
-                f"`repro campaigns fsck --repair`"
-            ) from exc
-        if not isinstance(entry, dict):
-            raise StoreCorruptionError(
-                f"index entry {key} is corrupt (not an object); run "
-                f"`repro campaigns fsck --repair`"
-            )
-        return entry.get("object")
+        raw = _read(self._index_path(key))
+        return None if raw is None else parse_entry("index", key, raw)["object"]
 
     def get_shard(self, key: str) -> CountryResult | None:
         """Load one country's stored result (None when absent)."""
@@ -351,23 +435,15 @@ class CampaignStore:
         ``None`` returned, so the caller simply rebuilds.
         """
         path = self._derived_path(key)
-        if not path.exists():
+        raw = _read(path)
+        if raw is None:
             return None
         try:
-            entry = json.loads(path.read_text(encoding="utf-8"))
-            digest = entry.get("object") if isinstance(entry, dict) else None
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            digest = None
-        if digest is None:
-            path.unlink(missing_ok=True)
-            return None
-        try:
-            payload = self.get_object(digest)
+            payload = self.get_object(parse_entry("derived", key, raw)["object"])
         except StoreCorruptionError:
             payload = None
         if payload is None:
             path.unlink(missing_ok=True)
-            return None
         return payload
 
     def derived_keys(self) -> list[str]:
@@ -400,10 +476,7 @@ class CampaignStore:
         the bytes are one complete version.  A manifest deleted at any
         point before the read (a watch retirement) reads as absent.
         """
-        try:
-            return self._manifest_path(campaign).read_bytes()
-        except FileNotFoundError:
-            return None
+        return _read(self._manifest_path(campaign))
 
     def load_manifest(self, campaign: str) -> dict | None:
         """Load a campaign manifest (None when absent)."""
@@ -517,18 +590,23 @@ class CampaignStore:
         """Atomically persist a rendered series ledger."""
         _atomic_write_text(self.series_path(series), text)
 
-    def load_series(self, series: str) -> dict | None:
-        """A series ledger's payload, or None when absent/unreadable.
+    def read_series_bytes(self, series: str) -> bytes | None:
+        """A series ledger's file bytes, in one read (None when absent).
 
-        A reading convenience for inspection commands;
-        :class:`~repro.store.series.SeriesLedger` is the validating
-        loader and ``fsck`` the corruption detector.
+        Ledgers are replaced whole, like manifests, so the bytes are one
+        complete version.
         """
-        path = self.series_path(series)
-        try:
-            return json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            return None
+        return _read(self.series_path(series))
+
+    def load_series(self, series: str) -> dict | None:
+        """Load and validate a series ledger (None only when absent).
+
+        The one ledger loader: the watch, the listings, the trend and
+        ``fsck`` all read through it, so a ledger
+        :func:`parse_series` rejects is corrupt to every one of them.
+        """
+        raw = self.read_series_bytes(series)
+        return None if raw is None else parse_series(series, raw)
 
     def list_series_ids(self) -> list[str]:
         """Ids of every stored series ledger, sorted."""
@@ -537,6 +615,32 @@ class CampaignStore:
             for path in self._series.glob("*.json")
             if not path.name.endswith(".watch.json")
         )
+
+    def resolve_id(self, kind: str, prefix: str) -> str:
+        """The one ``campaign`` or ``series`` id that ``prefix`` names.
+
+        A full id is returned as is, without a listing: it names its
+        file directly, and a read that finds no file means the id is
+        unknown.  A shorter prefix must match exactly one listed id.
+        Raises :class:`~repro.errors.UnknownIdError` or
+        :class:`~repro.errors.AmbiguousIdError`.
+        """
+        if _FULL_ID.fullmatch(prefix):
+            return prefix
+        ids = (
+            self.list_campaign_ids()
+            if kind == "campaign"
+            else self.list_series_ids()
+        )
+        matches = [full for full in ids if full.startswith(prefix)]
+        if not matches:
+            raise UnknownIdError(kind, prefix)
+        if len(matches) > 1:
+            raise AmbiguousIdError(
+                f"{kind} prefix {prefix!r} matches "
+                + ", ".join(m[:16] for m in matches)
+            )
+        return matches[0]
 
     # ------------------------------------------------------------------
     # Garbage collection
@@ -571,23 +675,16 @@ class CampaignStore:
         # series trend whose live epochs are all retired — is kept; it
         # is content-addressed and its key changes when inputs do.)
         for path in sorted(self._derived.glob("*.json")):
-            try:
-                entry = json.loads(path.read_text(encoding="utf-8"))
-                digest = entry.get("object") if isinstance(entry, dict) else None
-                inputs = entry.get("manifests", []) if isinstance(entry, dict) else []
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                digest = None
-                inputs = []
-            stale = digest is None or any(
-                d not in manifest_digests for d in inputs
-            )
-            if stale:
+            entry = _entry_at("derived", path)
+            if entry is None or any(
+                d not in manifest_digests for d in entry.get("manifests", [])
+            ):
                 report.derived_removed += 1
                 report.index_bytes += path.stat().st_size
                 if not dry_run:
                     path.unlink()
             else:
-                live_objects.add(digest)
+                live_objects.add(entry["object"])
         for path in self._index.glob("*.json"):
             if path.stem not in live_keys:
                 report.index_removed += 1
@@ -609,8 +706,11 @@ class CampaignStore:
     def fsck(self, repair: bool = False) -> "FsckReport":
         """Verify every stored artifact against its digest.
 
-        Re-parses and re-hashes every object, resolves every index
-        entry, and cross-checks every manifest's country table.  With
+        Re-parses and re-hashes every object, resolves every index and
+        derived entry, cross-checks every manifest's country table and
+        validates every series ledger, each through the parser every
+        other reader uses, so what fsck calls damaged is damaged to
+        all of them.  With
         ``repair=True`` the damage is *dropped*, never patched: corrupt
         objects and dangling/corrupt index entries are deleted and
         affected manifest entries cleared (and the manifest marked
@@ -622,53 +722,32 @@ class CampaignStore:
         valid_objects: set[str] = set()
         for path in sorted(self._objects.glob("*/*.json")):
             report.objects_scanned += 1
-            digest = path.stem
             try:
-                payload = json.loads(path.read_text(encoding="utf-8"))
-                rehash = digest_of(payload)
-            except (
-                json.JSONDecodeError,
-                UnicodeDecodeError,
-                UnicodeEncodeError,
-                ValueError,
-                TypeError,
-            ):
-                payload = None
-                rehash = None
-            if payload is None or rehash != digest:
-                report.corrupt_objects.append(digest)
+                parse_object(path.stem, path.read_bytes())
+            except StoreCorruptionError:
+                report.corrupt_objects.append(path.stem)
                 if repair:
                     path.unlink()
             else:
-                valid_objects.add(digest)
+                valid_objects.add(path.stem)
 
         referenced: set[str] = set()
         for path in sorted(self._index.glob("*.json")):
-            key = path.stem
-            try:
-                entry = json.loads(path.read_text(encoding="utf-8"))
-                digest = entry.get("object") if isinstance(entry, dict) else None
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                digest = None
-            if digest is None:
-                report.corrupt_index.append(key)
+            entry = _entry_at("index", path)
+            if entry is None:
+                report.corrupt_index.append(path.stem)
                 if repair:
                     path.unlink()
-            elif digest not in valid_objects:
-                report.dangling_index.append(key)
+            elif entry["object"] not in valid_objects:
+                report.dangling_index.append(path.stem)
                 if repair:
                     path.unlink()
             else:
-                referenced.add(digest)
+                referenced.add(entry["object"])
 
-        for path in sorted(self._campaigns.glob("*.json")):
-            if path.name.endswith(".store.json"):
-                continue
-            try:
-                manifest = json.loads(path.read_text(encoding="utf-8"))
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                report.corrupt_manifests.append(path.stem)
-                continue
+        for campaign, manifest in self.iter_campaigns(
+            on_corrupt=lambda campaign, _: report.corrupt_manifests.append(campaign)
+        ):
             dirty = False
             for cc, entry in sorted(
                 manifest.get("countries", {}).items()
@@ -680,7 +759,7 @@ class CampaignStore:
                     referenced.add(digest)
                     continue
                 report.manifest_entries_cleared.append(
-                    (manifest.get("campaign", path.stem), cc)
+                    (manifest.get("campaign", campaign), cc)
                 )
                 if repair:
                     entry["object"] = None
@@ -690,36 +769,22 @@ class CampaignStore:
             if dirty:
                 self.save_manifest(manifest)
 
-        for path in sorted(self._series.glob("*.json")):
-            if path.name.endswith(".watch.json"):
-                continue
+        for series in self.list_series_ids():
             try:
-                ledger = json.loads(path.read_text(encoding="utf-8"))
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                report.corrupt_series.append(path.stem)
-                continue
-            if (
-                not isinstance(ledger, dict)
-                or ledger.get("_schema") != SERIES_SCHEMA
-                or ledger.get("series") != path.stem
-            ):
-                report.corrupt_series.append(path.stem)
+                self.load_series(series)
+            except StoreCorruptionError:
+                report.corrupt_series.append(series)
 
         for path in sorted(self._derived.glob("*.json")):
-            key = path.stem
-            try:
-                entry = json.loads(path.read_text(encoding="utf-8"))
-                digest = entry.get("object") if isinstance(entry, dict) else None
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                digest = None
-            if digest is None or digest not in valid_objects:
+            entry = _entry_at("derived", path)
+            if entry is None or entry["object"] not in valid_objects:
                 # Derived entries are caches: dropping one costs a
                 # rebuild, never data, so repair always deletes.
-                report.bad_derived.append(key)
+                report.bad_derived.append(path.stem)
                 if repair:
                     path.unlink()
             else:
-                referenced.add(digest)
+                referenced.add(entry["object"])
 
         report.orphan_objects.extend(
             sorted(valid_objects - referenced)
@@ -805,47 +870,6 @@ class FsckReport:
             or self.manifest_entries_cleared
             or self.bad_derived
         )
-
-    def to_metrics(self) -> dict:
-        """The ``fsck_*`` metric families as a registry payload."""
-        from ..obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-
-        def count(name: str, help: str, value: int) -> None:
-            registry.counter(f"repro_fsck_{name}_total", help).inc(value)
-
-        count("objects_scanned", "objects examined by fsck",
-              self.objects_scanned)
-        count("corrupt_objects", "objects failing parse or re-hash",
-              len(self.corrupt_objects))
-        count("orphan_objects", "valid objects referenced by nothing",
-              len(self.orphan_objects))
-        count("dangling_index_entries",
-              "index entries resolving to missing/corrupt objects",
-              len(self.dangling_index))
-        count("corrupt_index_entries", "unparseable index entries",
-              len(self.corrupt_index))
-        count("corrupt_manifests", "unparseable campaign manifests",
-              len(self.corrupt_manifests))
-        count("corrupt_series", "unparseable or mis-tagged series "
-              "ledgers", len(self.corrupt_series))
-        count("manifest_entries_cleared",
-              "manifest country entries pointing at bad objects",
-              len(self.manifest_entries_cleared))
-        count("bad_derived_entries",
-              "derived entries unparseable or pointing at bad objects",
-              len(self.bad_derived))
-        count("tmp_swept", "orphaned temp files swept on store open",
-              self.tmp_swept)
-        count("repairs",
-              "artifacts dropped or cleared by --repair",
-              (len(self.corrupt_objects) + len(self.dangling_index)
-               + len(self.corrupt_index)
-               + len(self.manifest_entries_cleared)
-               + len(self.bad_derived))
-              if self.repaired else 0)
-        return registry.to_dict()
 
     def render(self) -> str:
         """Operator-facing summary for ``repro campaigns fsck``."""

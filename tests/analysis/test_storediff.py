@@ -6,8 +6,8 @@ import pytest
 
 from repro.analysis import (
     campaign_dataset,
-    campaign_diff,
     render_campaign_diff,
+    stored_diff,
 )
 from repro.analysis.storediff import manifest_snapshot
 from repro.datasets.paper_scores import LAYERS
@@ -52,7 +52,7 @@ class TestCampaignDataset:
 class TestCampaignDiff:
     def test_provenance(self, campaigns) -> None:
         store, base, evolved = campaigns
-        diff = campaign_diff(store, base.campaign, evolved.campaign)
+        diff = stored_diff(store, base.campaign, evolved.campaign)
         assert diff["reused_shards"] == ["DE", "TH", "US"]
         assert diff["remeasured"] == ["BR"]
         assert diff["countries_only_a"] == []
@@ -62,7 +62,7 @@ class TestCampaignDiff:
 
     def test_unchurned_countries_have_zero_deltas(self, campaigns) -> None:
         store, base, evolved = campaigns
-        diff = campaign_diff(store, base.campaign, evolved.campaign)
+        diff = stored_diff(store, base.campaign, evolved.campaign)
         assert set(diff["layers"]) == set(LAYERS)
         for layer in LAYERS:
             for cc in ("DE", "TH", "US"):
@@ -72,7 +72,7 @@ class TestCampaignDiff:
 
     def test_churned_country_moved(self, campaigns) -> None:
         store, base, evolved = campaigns
-        diff = campaign_diff(store, base.campaign, evolved.campaign)
+        diff = stored_diff(store, base.campaign, evolved.campaign)
         moved = any(
             diff["layers"][layer]["BR"]["centralization"][2] != 0.0
             or diff["layers"][layer]["BR"]["insularity"][2] != 0.0
@@ -92,7 +92,7 @@ class TestCampaignDiff:
     def test_diff_missing_campaign_raises(self, campaigns) -> None:
         store, base, _ = campaigns
         with pytest.raises(PipelineError, match="not found"):
-            campaign_diff(store, base.campaign, "0" * 64)
+            stored_diff(store, base.campaign, "0" * 64)
 
 
 class TestManifestSnapshot:

@@ -5,11 +5,11 @@ from __future__ import annotations
 import json
 from collections import Counter
 
+from repro.analysis.storediff import campaign_summary, dataset_from_manifest
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.materialize import (
     MATERIALIZE_VERSION,
     Materializer,
-    campaign_summary,
     derived_key,
 )
 from repro.store import CampaignStore, digest_of
@@ -164,7 +164,9 @@ class TestMaterializer:
         partial = json.loads(json.dumps(manifest))
         partial["countries"]["BR"]["object"] = None
         partial["complete"] = False
-        payload = campaign_summary(store, campaign, partial)
+        payload = campaign_summary(
+            campaign, partial, dataset_from_manifest(store, partial)
+        )
         assert payload["missing"] == ["BR"]
         assert payload["countries"] == ["DE", "US"]
         assert set(payload["layers"]["hosting"]["centralization"]) == {
@@ -256,10 +258,3 @@ class TestFsckIntegration:
         report = store.fsck()
         assert report.bad_derived == [key]
         assert "derived" in report.render()
-        metrics = report.to_metrics()["metrics"]
-        assert (
-            metrics["repro_fsck_bad_derived_entries_total"]["samples"][
-                0
-            ]["value"]
-            == 1
-        )

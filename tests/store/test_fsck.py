@@ -51,12 +51,10 @@ class TestTmpSweep:
         reopened = CampaignStore(root)
         assert reopened.tmp_swept == 3
         assert not any(stray.exists() for stray in strays)
-        # The sweep is reported through fsck's metric families too.
-        payload = reopened.fsck().to_metrics()
-        samples = payload["metrics"]["repro_fsck_tmp_swept_total"][
-            "samples"
-        ]
-        assert sum(s["value"] for s in samples) == 3
+        # The sweep is reported through fsck too.
+        report = reopened.fsck()
+        assert report.tmp_swept == 3
+        assert "swept 3 orphaned tmp files" in report.render()
 
     def test_clean_store_sweeps_nothing(
         self, populated: CampaignStore
@@ -211,21 +209,43 @@ class TestFsck:
         with pytest.raises(StoreCorruptionError):
             populated.load_manifest(manifest_path.stem)
 
-    def test_metrics_families(self, populated: CampaignStore) -> None:
+    @pytest.mark.parametrize(
+        "manifest_text",
+        ["[]", json.dumps({"_schema": "repro-manifest-v999"})],
+        ids=["not-an-object", "wrong-schema"],
+    )
+    def test_parseable_but_malformed_documents_are_corrupt(
+        self, populated: CampaignStore, manifest_text: str
+    ) -> None:
+        """JSON that parses is still damage when it is not the document
+        its file claims to be: fsck and the loaders agree."""
+        manifest_path = next(
+            p
+            for p in Path(populated.root, "campaigns").glob("*.json")
+            if not p.name.endswith(".store.json")
+        )
+        manifest_path.write_text(manifest_text, encoding="utf-8")
+        index_path = sorted(Path(populated.root, "index").glob("*.json"))[0]
+        index_path.write_text("{}", encoding="utf-8")
+
+        report = populated.fsck()
+        assert report.corrupt_manifests == [manifest_path.stem]
+        assert report.corrupt_index == [index_path.stem]
+        with pytest.raises(StoreCorruptionError, match="schema"):
+            populated.load_manifest(manifest_path.stem)
+        with pytest.raises(StoreCorruptionError, match="index entry"):
+            populated.shard_digest(index_path.stem)
+
+    def test_repair_counts(self, populated: CampaignStore) -> None:
         corrupt_object(object_paths(populated)[0])
-        payload = populated.fsck(repair=True).to_metrics()
+        report = populated.fsck(repair=True)
 
-        def total(name: str) -> int:
-            samples = payload["metrics"][f"repro_fsck_{name}_total"][
-                "samples"
-            ]
-            return int(sum(s["value"] for s in samples))
-
-        assert total("objects_scanned") == 2
-        assert total("corrupt_objects") == 1
+        assert report.repaired
+        assert report.objects_scanned == 2
+        assert len(report.corrupt_objects) == 1
         # The index entry that pointed at the corrupt object dangles
         # and is dropped with it.
-        assert total("dangling_index_entries") == 1
-        assert total("manifest_entries_cleared") == 1
-        assert total("repairs") == 3
-        assert total("corrupt_index_entries") == 0
+        assert len(report.dangling_index) == 1
+        assert len(report.manifest_entries_cleared) == 1
+        assert report.corrupt_index == []
+        assert report.bad_derived == []

@@ -153,11 +153,13 @@ class TestWatchMetrics:
     def test_merge_sums_counters_across_sessions(
         self, tmp_path: Path
     ) -> None:
-        ledger = SeriesLedger(CampaignStore(tmp_path), RECIPE)
-        assert ledger.load_watch_metrics() is None
+        store = CampaignStore(tmp_path)
+        ledger = SeriesLedger(store, RECIPE)
+        path = store.watch_metrics_path(ledger.series)
+        assert not path.exists()
         ledger.merge_watch_metrics(self.payload(1))
-        ledger.merge_watch_metrics(self.payload(2))
-        merged = ledger.load_watch_metrics()
+        merged = ledger.merge_watch_metrics(self.payload(2))
+        assert json.loads(path.read_text(encoding="utf-8")) == merged
         samples = merged["metrics"]["repro_watch_sessions_total"][
             "samples"
         ]
