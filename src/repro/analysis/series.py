@@ -5,10 +5,11 @@ record — one entry per epoch with status, object footprint, and quota
 decisions.  This module turns it into the ``repro campaigns series``
 views: a one-line-per-series listing and a per-series detail with the
 epoch table plus per-layer centralization deltas between consecutive
-live epochs (reusing :func:`~repro.analysis.storediff.stored_diff`
-when both epochs' manifests are still in the store — retired epochs
-have no manifest to diff), and the full-ledger trend, read from each
-epoch's :func:`~repro.analysis.storediff.campaign_summary`.  Ledgers
+live epochs (:func:`~repro.analysis.storediff.campaign_diff` of their
+summaries, when both epochs' manifests are still in the store —
+retired epochs have no manifest to diff), and the full-ledger trend,
+read from each epoch's
+:func:`~repro.analysis.storediff.campaign_summary`.  Ledgers
 load through :meth:`~repro.store.store.CampaignStore.load_series`, so a
 ledger ``fsck`` calls corrupt raises
 :class:`~repro.errors.StoreCorruptionError` here too.
@@ -16,11 +17,13 @@ ledger ``fsck`` calls corrupt raises
 
 from __future__ import annotations
 
+import functools
+
 from ..datasets.paper_scores import LAYERS
 from ..errors import PipelineError
 from ..store.series import live_bytes, retired_epochs, series_listing
 from ..store.store import CampaignStore
-from .storediff import campaign_summary, dataset_from_manifest, stored_diff
+from .storediff import campaign_diff, campaign_summary, dataset_from_manifest
 
 __all__ = [
     "render_series_detail",
@@ -242,7 +245,8 @@ def render_series_detail(
 
     The delta section diffs each consecutive pair of live epochs whose
     manifests both survive in the store, showing the ``top`` countries
-    per layer by absolute centralization delta.
+    per layer by absolute centralization delta.  An epoch in two pairs
+    is loaded and summarized once.
     """
     payload = store.load_series(series)
     if payload is None:
@@ -276,16 +280,28 @@ def render_series_detail(
                 f"       retires epochs "
                 f"{', '.join(str(e) for e in entry['retired'])}"
             )
+
+    # Loaded on first use, in pair order: the earliest bad epoch raises.
+    @functools.cache
+    def manifest(epoch: int) -> dict | None:
+        return store.load_manifest(entries[epoch]["campaign"])
+
+    @functools.cache
+    def summary(epoch: int) -> dict:
+        loaded = dataset_from_manifest(store, manifest(epoch))
+        return campaign_summary(entries[epoch]["campaign"], manifest(epoch), loaded)
+
     pairs = [
         (entries[i - 1], entries[i])
         for i in range(1, len(entries))
         if entries[i - 1]["epoch"] not in retired
         and entries[i]["epoch"] not in retired
-        and store.load_manifest(entries[i - 1]["campaign"]) is not None
-        and store.load_manifest(entries[i]["campaign"]) is not None
+        and manifest(i - 1) is not None
+        and manifest(i) is not None
     ]
     for earlier, later in pairs:
-        diff = stored_diff(store, earlier["campaign"], later["campaign"])
+        a, b = earlier["epoch"], later["epoch"]
+        diff = campaign_diff(manifest(a), manifest(b), summary(a), summary(b))
         out.append("")
         out.append(
             f"-- epoch {earlier['epoch']} -> {later['epoch']} "

@@ -433,11 +433,13 @@ def corrupt_object(path: Path, seed: int = 0, truncate: bool = False) -> None:
 def _flip_is_detectable(flipped: bytes, digest: str) -> bool:
     """Would content verification catch this byte flip?
 
-    Not every flip damages the *content*: objects are stored
-    pretty-printed but hashed over their canonical form, so a flip on
-    the last digit of a 17-significant-digit float repr can parse back
-    to the very same double and re-hash clean.  Corruption injection
-    must skip such semantic no-ops or fsck tests chase ghosts.
+    Not every flip damages the *content*: verification re-hashes the
+    parsed payload, not the file's bytes, so a flip on the last digit
+    of a 17-significant-digit float repr can parse back to the very
+    same double and re-hash clean (as can a flip in the indentation of
+    an object an older store wrote pretty-printed).  Corruption
+    injection must skip such semantic no-ops or fsck tests chase
+    ghosts.
     """
     try:
         payload = json.loads(flipped.decode("utf-8"))

@@ -115,14 +115,12 @@ class RetrySession:
         ``wait`` receives each backoff delay (the pipeline passes the
         resolver's ``advance_clock``, keeping backoff on logical time).
         The last failure propagates when attempts or budget run out, or
-        immediately when the failure is permanent.
+        immediately when the failure is permanent.  The backoff schedule
+        is computed at the first retry: most operations never retry.
         """
-        delays = (
-            self.policy.backoff_schedule(key)
-            if self.policy is not None
-            else ()
-        )
+        policy = self.policy
         observer = self.observer
+        delays: tuple[float, ...] = ()
         retry = 0
         while True:
             self.attempts += 1
@@ -132,12 +130,14 @@ class RetrySession:
                 return operation()
             except ReproError as exc:
                 if (
-                    self.policy is None
-                    or not self.policy.is_transient(exc)
-                    or retry >= len(delays)
+                    policy is None
+                    or not policy.is_transient(exc)
+                    or retry >= policy.max_attempts - 1
                     or self.retries_left <= 0
                 ):
                     raise
+                if not delays:
+                    delays = policy.backoff_schedule(key)
                 if observer is not None:
                     observer.retry_backoff(key, delays[retry])
                 wait(delays[retry])

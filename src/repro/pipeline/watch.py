@@ -586,7 +586,7 @@ def run_watch(
                 break
 
     payload = metrics.to_dict()
-    ledger.merge_watch_metrics(payload)
+    store.merge_watch_metrics(ledger.series, payload)
     quota_unmet = tuple(
         entry["epoch"]
         for entry in ledger.entries

@@ -29,7 +29,9 @@ key:
   the CLI uses too).
 * Response bodies and ETags are views kept in the materializer's
   memory-tier entries (:class:`~repro.serve.materialize.Entry`), so a
-  memory hit neither encodes nor hashes.
+  memory hit neither encodes nor hashes.  The ``/campaigns`` and
+  ``/series`` listings keep theirs until an ``(id, digest)`` pair
+  changes.
 
 A damaged manifest or ledger answers 500 ``store_corruption``, the
 same verdict ``repro campaigns fsck`` gives it.
@@ -63,7 +65,7 @@ from ..obs.log import get_logger
 from ..obs.metrics import MetricsRegistry
 from ..pipeline.records import LAYER_FIELDS
 from ..store.digest import digest_of
-from ..store.series import retired_epochs, series_listing
+from ..store.series import retired_epochs, series_row
 from ..store.store import CampaignStore, parse_manifest, parse_series
 from .materialize import Entry, Materializer, encode_body, etag_of, rendered
 
@@ -141,6 +143,20 @@ def _matches(etag: str, if_none_match: str | None) -> bool:
     return etag in candidates or "*" in candidates
 
 
+def _campaign_row(campaign: str, manifest: dict | None) -> dict:
+    """One ``/campaigns`` row (``None``: a manifest the parser rejected)."""
+    if manifest is None:
+        return {"campaign": campaign, "corrupt": True}
+    countries = manifest.get("countries", {})
+    return {
+        "campaign": campaign,
+        "complete": manifest.get("complete", False),
+        "snapshot": manifest_snapshot(manifest),
+        "countries": len(countries),
+        "measured": sum(1 for entry in countries.values() if entry.get("object")),
+    }
+
+
 def _layers(summary: dict) -> dict:
     """The ``/layers`` view of a campaign summary."""
     return {
@@ -166,8 +182,8 @@ class ServeApi:
         self._manifests: OrderedDict[str, tuple[bytes, dict, str]] = OrderedDict()
         #: series id -> (ledger bytes, parsed ledger, digest).
         self._ledgers: OrderedDict[str, tuple[bytes, dict, str]] = OrderedDict()
-        #: The campaign listing's inputs and its rendered response.
-        self._listing: tuple[list, tuple[bytes, str]] | None = None
+        #: listing kind -> (its (id, digest) inputs, rendered response).
+        self._listings: dict[str, tuple[list, tuple[bytes, str]]] = {}
         self._lock = threading.Lock()
         self._requests = self.registry.counter(
             "repro_serve_requests_total",
@@ -248,7 +264,9 @@ class ServeApi:
             return "metrics", body, etag_of(body), "text/plain; version=0.0.4"
         if head == "campaigns":
             if len(parts) == 1:
-                return ("campaigns", *self._campaign_list(), JSON)
+                ids = self.store.list_campaign_ids()
+                read, row = self._read_manifest, _campaign_row
+                return ("campaigns", *self._listing("campaigns", ids, read, row), JSON)
             summary = self.materializer.summary(*self._manifest(parts[1]))
             if len(parts) == 2:
                 return ("campaign", *summary.view("campaign"), JSON)
@@ -276,7 +294,9 @@ class ServeApi:
             return ("diff", *diff.view("diff"), JSON)
         if head == "series":
             if len(parts) == 1:
-                return ("series", *rendered(self._series_list()), JSON)
+                ids = self.store.list_series_ids()
+                read, row = self._read_ledger, series_row
+                return ("series", *self._listing("series", ids, read, row), JSON)
             if len(parts) == 3 and parts[2] == "trend":
                 return ("trend", *self._trend(parts[1]).view("trend"), JSON)
         if head == "whatif" and len(parts) == 2:
@@ -338,46 +358,28 @@ class ServeApi:
             raise UnknownIdError("campaign", prefix)
         return campaign, *read
 
-    def _campaign_list(self) -> tuple[bytes, str]:
-        """The listing's body and ETag, rendered again only when the
-        listed campaigns or one of their manifests changed."""
+    def _listing(self, kind: str, ids: list[str], read, row) -> tuple[bytes, str]:
+        """A listing's body and ETag, rendered again only when the listed
+        ids or their documents changed.  ``read`` gives a kept snapshot;
+        a document it calls corrupt is listed as ``row(id, None)``."""
         listed: list[tuple[str, dict | None, str | None]] = []
-        for campaign in self.store.list_campaign_ids():
+        for name in ids:
             try:
-                read = self._read_manifest(campaign)
+                snapshot = read(name)
             except StoreCorruptionError:
-                self._log.warning(
-                    "serve.corrupt_manifest", campaign=campaign
-                )
-                listed.append((campaign, None, None))
+                self._log.warning("serve.corrupt_document", listing=kind, id=name)
+                listed.append((name, None, None))
                 continue
-            if read is not None:  # else deleted since the listing
-                listed.append((campaign, *read))
-        inputs = [(campaign, digest) for campaign, _, digest in listed]
-        cached = self._listing
+            if snapshot is not None:  # else deleted since the listing
+                listed.append((name, *snapshot))
+        inputs = [(name, digest) for name, _, digest in listed]
+        cached = self._listings.get(kind)
         if cached is not None and cached[0] == inputs:
             return cached[1]
-        rows: list[dict] = []
-        for campaign, manifest, _ in listed:
-            if manifest is None:
-                rows.append({"campaign": campaign, "corrupt": True})
-                continue
-            countries = manifest.get("countries", {})
-            rows.append(
-                {
-                    "campaign": campaign,
-                    "complete": manifest.get("complete", False),
-                    "snapshot": manifest_snapshot(manifest),
-                    "countries": len(countries),
-                    "measured": sum(
-                        1
-                        for entry in countries.values()
-                        if entry.get("object")
-                    ),
-                }
-            )
-        listing = rendered({"campaigns": rows})
-        self._listing = (inputs, listing)
+        listing = rendered(
+            {kind: [row(name, document) for name, document, _ in listed]}
+        )
+        self._listings[kind] = (inputs, listing)
         return listing
 
     def _country(self, summary: dict, cc: str) -> dict:
@@ -416,17 +418,15 @@ class ServeApi:
             "layers": layers,
         }
 
-    def _series_list(self) -> dict:
-        return {"series": series_listing(self.store)}
+    def _read_ledger(self, series: str) -> tuple[dict, str] | None:
+        """``(ledger, digest)``, or None when the ledger is absent."""
+        return self._snapshot(
+            self._ledgers, series, self.store.read_series_bytes(series), parse_series
+        )
 
     def _trend(self, prefix: str) -> Entry:
         series = self.store.resolve_id("series", prefix)
-        read = self._snapshot(
-            self._ledgers,
-            series,
-            self.store.read_series_bytes(series),
-            parse_series,
-        )
+        read = self._read_ledger(series)
         if read is None:  # absent, or deleted since the listing
             raise UnknownIdError("series", prefix)
         ledger, ledger_digest = read

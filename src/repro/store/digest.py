@@ -44,11 +44,15 @@ __all__ = [
 PIPELINE_VERSION = "repro-pipeline-v1"
 
 
+#: Sorted keys, compact separators, UTF-8 text; built once, not per call.
+_CANONICAL = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), ensure_ascii=False
+)
+
+
 def canonical_json(payload: object) -> str:
     """The one true JSON rendering used for hashing."""
-    return json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False
-    )
+    return _CANONICAL.encode(payload)
 
 
 def digest_of(payload: object) -> str:

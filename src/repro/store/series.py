@@ -7,7 +7,10 @@ the same knobs extend the *same* series no matter when or where they
 run — and a watch over a different world can never collide with it.
 
 The ledger (``series/<id>.json``) is the watch's crash-safe record:
-one entry per completed epoch, appended atomically (temp file +
+one entry per completed epoch.  :class:`SeriesLedger` only holds the
+entries; every append hands the whole ledger to
+:meth:`~repro.store.store.CampaignStore.save_series`, which writes it
+as the store writes every document (its canonical JSON, temp file +
 ``os.replace``), so a kill at any instant leaves either the previous
 ledger or the new one — never a torn file.  ``--resume-series`` reads
 the ledger to decide where to pick up; a kill *inside* an epoch leaves
@@ -33,19 +36,17 @@ without deadlines.
 
 Watch telemetry (``series/<id>.watch.json``) is the deliberately
 *non*-deterministic sibling: sessions, signals, GC sweeps, observed
-store bytes.  It merges across resumes via
-:func:`~repro.obs.metrics.merge_metrics_payloads` and is never part
-of the convergence guarantee, exactly like the campaign store's
-``.store.json`` artifacts.
+store bytes.  It merges across resumes
+(:meth:`~repro.store.store.CampaignStore.merge_watch_metrics`) and is
+never part of the convergence guarantee, exactly like the campaign
+store's ``.store.json`` artifacts.
 """
 
 from __future__ import annotations
 
-import json
 from typing import TYPE_CHECKING
 
 from ..errors import PipelineError, StoreCorruptionError
-from ..obs.metrics import merge_metrics_payloads, render_metrics_json
 from .digest import digest_of
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -57,6 +58,7 @@ __all__ = [
     "retired_epochs",
     "series_id",
     "series_listing",
+    "series_row",
     "union_bytes",
     "validate_entry",
 ]
@@ -142,38 +144,37 @@ def live_bytes(entries: list[dict]) -> int:
     )
 
 
-def series_listing(store: "CampaignStore") -> list[dict]:
-    """One summary row per stored ledger, sorted by series id.
+def series_row(series: str, ledger: dict | None) -> dict:
+    """One listing row of a ledger; ``None`` is a ledger the store's
+    parser rejected, listed as ``{"series": id, "corrupt": true}``."""
+    if ledger is None:
+        return {"series": series, "corrupt": True}
+    entries = ledger.get("entries", [])
+    return {
+        "series": series,
+        "epochs": len(entries),
+        "retired": len(retired_epochs(entries)),
+        "live_bytes": live_bytes(entries),
+        "degraded": sum(1 for entry in entries if entry["status"] != "ok"),
+        "quota_unmet": sum(1 for entry in entries if not entry["quota_met"]),
+    }
 
-    The rows behind ``repro campaigns series`` and ``GET /series``; a
-    ledger :meth:`~repro.store.store.CampaignStore.load_series` rejects
-    gets a ``{"series": id, "corrupt": true}`` row, and one deleted
-    since the listing gets none.
+
+def series_listing(store: "CampaignStore") -> list[dict]:
+    """One :func:`series_row` per stored ledger, sorted by series id.
+
+    The rows behind ``repro campaigns series``; ``GET /series`` lists
+    the same rows from its ledger snapshots.
     """
     rows: list[dict] = []
     for series in store.list_series_ids():
         try:
-            payload = store.load_series(series)
+            ledger = store.load_series(series)
         except StoreCorruptionError:
-            rows.append({"series": series, "corrupt": True})
+            rows.append(series_row(series, None))
             continue
-        if payload is None:
-            continue
-        entries = payload.get("entries", [])
-        rows.append(
-            {
-                "series": series,
-                "epochs": len(entries),
-                "retired": len(retired_epochs(entries)),
-                "live_bytes": live_bytes(entries),
-                "degraded": sum(
-                    1 for entry in entries if entry["status"] != "ok"
-                ),
-                "quota_unmet": sum(
-                    1 for entry in entries if not entry["quota_met"]
-                ),
-            }
-        )
+        if ledger is not None:  # else deleted since the listing
+            rows.append(series_row(series, ledger))
     return rows
 
 
@@ -183,12 +184,9 @@ class SeriesLedger:
     def __init__(
         self, store: "CampaignStore", recipe: dict
     ) -> None:
-        from .store import SERIES_SCHEMA
-
         self.store = store
         self.recipe = recipe
         self.series = series_id(recipe)
-        self._schema = SERIES_SCHEMA
         payload = store.load_series(self.series)
         self.entries: list[dict] = (
             [] if payload is None else payload.get("entries", [])
@@ -203,23 +201,7 @@ class SeriesLedger:
         """Validate and durably append one epoch entry."""
         validate_entry(entry, len(self.entries))
         self.entries.append(entry)
-        self.store.write_series_text(self.series, self.render())
-
-    def render(self) -> str:
-        """The ledger's canonical on-disk rendering."""
-        return (
-            json.dumps(
-                {
-                    "_schema": self._schema,
-                    "series": self.series,
-                    "recipe": self.recipe,
-                    "entries": self.entries,
-                },
-                sort_keys=True,
-                indent=1,
-            )
-            + "\n"
-        )
+        self.store.save_series(self.series, self.recipe, self.entries)
 
     # ------------------------------------------------------------------
     # Derived, deterministic views (the watch planner's inputs)
@@ -248,23 +230,3 @@ class SeriesLedger:
             if entry["status"] == "ok":
                 return entry
         return None
-
-    # ------------------------------------------------------------------
-    # Watch telemetry artifact (merged across sessions)
-    # ------------------------------------------------------------------
-
-    def merge_watch_metrics(self, payload: dict) -> dict:
-        """Fold one session's watch telemetry into the series artifact.
-
-        Counters sum across sessions, so after N kills and N+1
-        sessions the artifact still reads as one watch's history.
-        """
-        path = self.store.watch_metrics_path(self.series)
-        merged = payload
-        if path.exists():
-            previous = json.loads(path.read_text(encoding="utf-8"))
-            merged = merge_metrics_payloads([previous, payload])
-        from .store import _atomic_write_text
-
-        _atomic_write_text(path, render_metrics_json(merged))
-        return merged

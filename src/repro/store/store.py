@@ -18,23 +18,29 @@ incremental run answer "has this exact measurement already been done?"
 with a single file read.  Manifests record which shards a campaign
 comprises and whether it ran to completion; they are the GC root set.
 
-All writes go through a temp-file + :func:`os.replace` so a crash
-mid-write never leaves a torn object — but disks, not just crashes,
-corrupt stores: bit flips, truncation by a full filesystem, a crash
-*inside* the page cache flush.  Loads therefore verify.  Each kind of
-stored document has exactly one parser — :func:`parse_object` (which
-re-hashes the payload against its filename), :func:`parse_entry` (index
-and derived entries), :func:`parse_manifest` and :func:`parse_series`
-— and each raises a typed :class:`~repro.errors.StoreCorruptionError`
-with one message per kind of damage.  Readers only decide what that
-verdict means: a shard load raises, a derived-entry load self-heals,
+One writer, :func:`_write`, puts every document under the root, as
+:func:`_encode` of it: the UTF-8 bytes of its canonical JSON.  So an
+object file's sha256 is its name (``sha256sum`` checks it), and a
+payload is encoded once.  The writer goes through a temp file +
+:func:`os.replace` so a crash mid-write never leaves a torn document —
+but disks, not just crashes, corrupt stores: bit flips, truncation by
+a full filesystem, a crash *inside* the page cache flush.  Loads
+therefore verify.  Each kind of stored document has exactly one parser
+— :func:`parse_object` (which re-hashes the payload against its
+filename), :func:`parse_entry` (index and derived entries),
+:func:`parse_manifest` and :func:`parse_series` — and each raises a
+typed :class:`~repro.errors.StoreCorruptionError` with one message per
+kind of damage.  Readers only decide what that verdict means: a shard
+load raises, a derived-entry load self-heals,
 :meth:`CampaignStore.fsck` reports (``repro campaigns fsck
-[--repair]``), a listing marks the row corrupt, and :meth:`~CampaignStore.gc`
-counts a derived entry stale.  So a damaged store degrades into
-"re-measure exactly these countries" instead of silent reuse of bad
-data, and no two readers disagree about what is damaged.  Orphaned
-``*.tmp`` files (a crash between tmp-write and ``os.replace``) are
-swept on store open.
+[--repair]``), a listing marks the row corrupt, and
+:meth:`~CampaignStore.gc` counts a derived entry stale.  So a damaged
+store degrades into "re-measure exactly these countries" instead of
+silent reuse of bad data, and no two readers disagree about what is
+damaged.  Parsers judge the document, not its spelling, so the
+indented files of older stores read the same way.  Orphaned ``*.tmp``
+files (a crash between tmp-write and ``os.replace``) are swept on
+store open.
 
 Campaign and series ids are resolved from a prefix in one place,
 :meth:`CampaignStore.resolve_id`: a full 64-hex id names its file
@@ -43,6 +49,7 @@ without listing the directory.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -55,10 +62,10 @@ from ..errors import (
     StoreCorruptionError,
     UnknownIdError,
 )
-from ..obs.metrics import render_metrics_json
+from ..obs.metrics import merge_metrics_payloads
 from ..pipeline.export import rows_from_csv_text, rows_to_csv_text
 from ..pipeline.parallel import CountryResult
-from .digest import digest_of
+from .digest import canonical_json, digest_of
 
 __all__ = [
     "CampaignStore",
@@ -93,9 +100,16 @@ DERIVED_SCHEMA = "repro-derived-v1"
 _FULL_ID = re.compile(r"[0-9a-f]{64}")
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
+def _encode(document: object) -> bytes:
+    """A document's file bytes: the UTF-8 of its canonical JSON."""
+    return canonical_json(document).encode("utf-8")
+
+
+def _write(path: Path, data: bytes) -> None:
+    """The one writer under a store root; ``data`` is :func:`_encode`
+    of a document, and lands whole or not at all."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    tmp.write_bytes(data)
     os.replace(tmp, path)
 
 
@@ -321,14 +335,14 @@ class CampaignStore:
         return self._index / f"{key}.json"
 
     def put_object(self, payload: dict) -> str:
-        """Store a payload by content; returns its digest (idempotent)."""
-        digest = digest_of(payload)
+        """Store a payload by content; returns its digest (idempotent),
+        the sha256 of the bytes its file holds."""
+        data = _encode(payload)
+        digest = hashlib.sha256(data).hexdigest()
         path = self._object_path(digest)
         if not path.exists():
             path.parent.mkdir(parents=True, exist_ok=True)
-            _atomic_write_text(
-                path, json.dumps(payload, sort_keys=True, indent=1)
-            )
+            _write(path, data)
         return digest
 
     def get_object(self, digest: str) -> dict | None:
@@ -348,6 +362,7 @@ class CampaignStore:
         Object files are canonical JSON written once, so the size is
         as deterministic as the digest — which is what lets the watch
         quota planner account bytes without ever re-reading payloads.
+        (An object an older store wrote indented keeps its larger size.)
         """
         path = self._object_path(digest)
         try:
@@ -371,10 +386,7 @@ class CampaignStore:
         at a missing payload.
         """
         digest = self.put_object(encode_shard(result))
-        _atomic_write_text(
-            self._index_path(key),
-            json.dumps({"object": digest}),
-        )
+        _write(self._index_path(key), _encode({"object": digest}))
         return digest
 
     def has_shard(self, key: str) -> bool:
@@ -419,11 +431,9 @@ class CampaignStore:
         the same key rewrites identical bytes.
         """
         digest = self.put_object(payload)
-        _atomic_write_text(
+        _write(
             self._derived_path(key),
-            json.dumps(
-                {"object": digest, "manifests": sorted(manifests)}
-            ),
+            _encode({"object": digest, "manifests": sorted(manifests)}),
         )
         return digest
 
@@ -463,11 +473,7 @@ class CampaignStore:
             raise PipelineError(
                 f"unsupported manifest schema {manifest.get('_schema')!r}"
             )
-        campaign = manifest["campaign"]
-        _atomic_write_text(
-            self._manifest_path(campaign),
-            json.dumps(manifest, sort_keys=True, indent=1),
-        )
+        _write(self._manifest_path(manifest["campaign"]), _encode(manifest))
 
     def read_manifest_bytes(self, campaign: str) -> bytes | None:
         """A campaign manifest's file bytes, in one read (None when absent).
@@ -493,14 +499,10 @@ class CampaignStore:
         :meth:`gc` — manifests are the root set, so dropping one is
         how an epoch is retired.
         """
-        removed = False
         path = self._manifest_path(campaign)
-        if path.exists():
-            path.unlink()
-            removed = True
-        metrics = self._store_metrics_path(campaign)
-        if metrics.exists():
-            metrics.unlink()
+        removed = path.exists()
+        path.unlink(missing_ok=True)
+        self._store_metrics_path(campaign).unlink(missing_ok=True)
         return removed
 
     def list_campaign_ids(self) -> list[str]:
@@ -563,16 +565,12 @@ class CampaignStore:
         purpose: resumed and uninterrupted runs must emit byte-identical
         measurement metrics, and hit/miss counts differ by design.
         """
-        _atomic_write_text(
-            self._store_metrics_path(campaign), render_metrics_json(payload)
-        )
+        _write(self._store_metrics_path(campaign), _encode(payload))
 
     def load_store_metrics(self, campaign: str) -> dict | None:
         """Load a campaign's store-telemetry payload (None when absent)."""
-        path = self._store_metrics_path(campaign)
-        if not path.exists():
-            return None
-        return json.loads(path.read_text(encoding="utf-8"))
+        raw = _read(self._store_metrics_path(campaign))
+        return None if raw is None else json.loads(raw)
 
     # ------------------------------------------------------------------
     # Series ledgers (longitudinal watch)
@@ -586,9 +584,23 @@ class CampaignStore:
         """Where a series' watch-telemetry artifact lives."""
         return self._series / f"{series}.watch.json"
 
-    def write_series_text(self, series: str, text: str) -> None:
-        """Atomically persist a rendered series ledger."""
-        _atomic_write_text(self.series_path(series), text)
+    def save_series(self, series: str, recipe: dict, entries: list[dict]) -> None:
+        """Write a series ledger (overwrites previous state)."""
+        ledger = {"series": series, "recipe": recipe, "entries": entries}
+        _write(self.series_path(series), _encode({"_schema": SERIES_SCHEMA, **ledger}))
+
+    def merge_watch_metrics(self, series: str, payload: dict) -> dict:
+        """Fold one watch session's telemetry into the series artifact.
+
+        Counters sum across sessions, so after N kills and N+1
+        sessions the artifact still reads as one watch's history.
+        """
+        path = self.watch_metrics_path(series)
+        raw = _read(path)
+        if raw is not None:
+            payload = merge_metrics_payloads([json.loads(raw), payload])
+        _write(path, _encode(payload))
+        return payload
 
     def read_series_bytes(self, series: str) -> bytes | None:
         """A series ledger's file bytes, in one read (None when absent).

@@ -130,6 +130,26 @@ class TestRetrySession:
         assert op.calls == 2
         assert session.retries_left == 0
 
+    def test_schedule_computed_only_for_a_retry(self, monkeypatch) -> None:
+        keys: list[str] = []
+        schedule = RetryPolicy.backoff_schedule
+
+        def counting(policy, key):
+            keys.append(key)
+            return schedule(policy, key)
+
+        monkeypatch.setattr(RetryPolicy, "backoff_schedule", counting)
+        session = RetrySession(RetryPolicy(max_attempts=3))
+        assert session.run("first-try", lambda: 7, lambda _s: None) == 7
+        with pytest.raises(NXDomainError):
+            session.run("permanent", _Flaky(1, NXDomainError("x")), lambda _s: None)
+        assert keys == []
+        waited: list[float] = []
+        op = _Flaky(2, ServFailError("boom"))
+        assert session.run("flaky", op, waited.append) == 42
+        assert keys == ["flaky"]
+        assert waited == list(schedule(RetryPolicy(max_attempts=3), "flaky"))
+
     def test_no_policy_counts_attempts_without_retrying(self) -> None:
         session = RetrySession(None)
         op = _Flaky(1, ServFailError("x"))

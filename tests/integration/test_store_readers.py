@@ -28,6 +28,7 @@ from repro.serve import api as api_module
 from repro.serve import materialize as materialize_module
 from repro.serve.api import ServeApi
 from repro.store import SERIES_SCHEMA, CampaignStore, SeriesLedger, encode_shard
+from repro.store import store as store_module
 from repro.store.series import series_listing
 from repro.worldgen import ChurnConfig, WorldConfig
 
@@ -230,3 +231,59 @@ def test_warm_trend_parses_digests_and_lists_nothing(watched, monkeypatch):
     for path, response in first.items():
         fresh = restarted.handle(path)
         assert (fresh.body, fresh.etag) == (response.body, response.etag)
+
+
+def test_series_detail_decodes_each_live_epoch_once(watched, monkeypatch):
+    """``campaigns series <id>`` loads each live manifest once and
+    summarizes each epoch once, though the middle epoch is in two
+    pairs."""
+    root, series, campaigns = watched
+    store = CampaignStore(root)
+    references = sum(
+        1
+        for campaign in campaigns
+        for entry in store.load_manifest(campaign)["countries"].values()
+        if entry["object"]
+    )
+    calls: Counter = Counter()
+    for name in ("get_object", "load_manifest"):
+
+        def counting(self, *args, _name=name, _method=getattr(CampaignStore, name)):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(CampaignStore, name, counting)
+    code, out = campaigns_cli(root, "series", series[:12])
+    assert code == 0
+    assert "-- epoch 0 -> 1" in out and "-- epoch 1 -> 2" in out
+    assert calls == Counter(get_object=references, load_manifest=len(campaigns))
+
+
+def test_warm_series_listing_parses_nothing(copy, monkeypatch):
+    """``GET /series`` lists from the ledger snapshots: a warm request
+    parses no ledger, and a changed ledger is listed anew."""
+    root, series, _ = copy
+    store = CampaignStore(root)
+    api = ServeApi(store)
+    first = api.handle("/series")
+    assert first.status == 200
+    assert json.loads(first.body)["series"] == series_listing(store)
+
+    calls: Counter = Counter()
+    for module in (api_module, store_module):
+
+        def counting(*args, _parse=module.parse_series):
+            calls["parse_series"] += 1
+            return _parse(*args)
+
+        monkeypatch.setattr(module, "parse_series", counting)
+    again = api.handle("/series")
+    assert calls == Counter()
+    assert (again.body, again.etag) == (first.body, first.etag)
+    monkeypatch.undo()
+
+    restarted = ServeApi(CampaignStore(root), MetricsRegistry()).handle("/series")
+    assert (restarted.body, restarted.etag) == (first.body, first.etag)
+    damage_ledger(root, series, "torn")
+    listed = json.loads(api.handle("/series").body)["series"]
+    assert listed == [{"series": series, "corrupt": True}]

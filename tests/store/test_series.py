@@ -8,7 +8,13 @@ from pathlib import Path
 import pytest
 
 from repro.errors import PipelineError, StoreCorruptionError
-from repro.store import CampaignStore, SeriesLedger, series_id
+from repro.store import (
+    SERIES_SCHEMA,
+    CampaignStore,
+    SeriesLedger,
+    canonical_json,
+    series_id,
+)
 from repro.store.series import validate_entry
 
 RECIPE = {"spec": {"seed": 1}, "churn_step": {"keep_fraction": 0.58}}
@@ -67,14 +73,20 @@ class TestSeriesLedger:
         ledger.append(entry(1))
         reopened = SeriesLedger(store, RECIPE)
         assert reopened.entries == ledger.entries
-        assert reopened.render() == ledger.render()
+        assert reopened.recipe == ledger.recipe
         assert store.list_series_ids() == [ledger.series]
 
     def test_render_is_byte_stable(self, tmp_path: Path) -> None:
         store = CampaignStore(tmp_path)
         ledger = SeriesLedger(store, RECIPE)
         ledger.append(entry(0))
-        assert ledger.path.read_text() == ledger.render()
+        document = {
+            "_schema": SERIES_SCHEMA,
+            "series": ledger.series,
+            "recipe": RECIPE,
+            "entries": [entry(0)],
+        }
+        assert ledger.path.read_bytes() == canonical_json(document).encode()
 
     def test_out_of_order_append_rejected(self, tmp_path: Path) -> None:
         ledger = SeriesLedger(CampaignStore(tmp_path), RECIPE)
@@ -157,8 +169,8 @@ class TestWatchMetrics:
         ledger = SeriesLedger(store, RECIPE)
         path = store.watch_metrics_path(ledger.series)
         assert not path.exists()
-        ledger.merge_watch_metrics(self.payload(1))
-        merged = ledger.merge_watch_metrics(self.payload(2))
+        store.merge_watch_metrics(ledger.series, self.payload(1))
+        merged = store.merge_watch_metrics(ledger.series, self.payload(2))
         assert json.loads(path.read_text(encoding="utf-8")) == merged
         samples = merged["metrics"]["repro_watch_sessions_total"][
             "samples"
@@ -184,8 +196,8 @@ class TestFsckSeries:
         store = CampaignStore(tmp_path)
         ledger = SeriesLedger(store, RECIPE)
         ledger.append(entry(0))
-        ledger.merge_watch_metrics(
-            TestWatchMetrics().payload(1)
+        store.merge_watch_metrics(
+            ledger.series, TestWatchMetrics().payload(1)
         )
         # Telemetry is not a ledger: fsck must not try to parse it as
         # one even though it lives beside the ledger.

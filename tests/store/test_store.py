@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -92,6 +93,25 @@ class TestObjectsAndIndex:
         assert store.put_object(payload) == digest
         assert store.get_object(digest) == payload
         assert store.get_object("0" * 64) is None
+
+    def test_put_object_encodes_once(self, tmp_path: Path, monkeypatch) -> None:
+        # The digest is the sha256 of the very bytes the file holds, so
+        # a payload is encoded once, not once to hash and once to write.
+        encodes = []
+        encode = json.JSONEncoder.encode
+
+        def counting(self, document):
+            encodes.append(document)
+            return encode(self, document)
+
+        store = CampaignStore(tmp_path)
+        payload = encode_shard(sample_result())
+        monkeypatch.setattr(json.JSONEncoder, "encode", counting)
+        digest = store.put_object(payload)
+        monkeypatch.undo()
+        assert encodes == [payload]
+        raw = (tmp_path / "objects" / digest[:2] / f"{digest}.json").read_bytes()
+        assert hashlib.sha256(raw).hexdigest() == digest
 
     def test_put_shard_and_lookup(self, tmp_path: Path) -> None:
         store = CampaignStore(tmp_path)
