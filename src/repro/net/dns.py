@@ -6,7 +6,10 @@ registrable domains, and domain zones carry NS / A / CNAME records.
 :class:`Resolver` walks the delegation chain like an iterative resolver
 with a positive/negative TTL cache, returning the answer addresses
 *and* the authoritative nameserver set (which the pipeline maps to the
-DNS infrastructure provider).
+DNS infrastructure provider).  A :class:`ZoneCache` is the walk the
+campaign paths share: it plans each name once and answers every query
+by executing a plan for the querying vantage, for the measurement
+pipeline and the world-slice digest alike.
 
 Geo-aware answers: an A record's value may be a mapping from continent
 to address, modeling CDN front-end selection; the resolver picks the
@@ -39,6 +42,9 @@ __all__ = [
 ]
 
 _GEO_DEFAULT = "default"
+
+#: Longest CNAME chain a walk follows before giving up.
+MAX_CNAME_DEPTH = 8
 
 #: Shared empty answer for :meth:`Zone.records` misses.
 _NO_RECORDS: tuple["ResourceRecord", ...] = ()
@@ -256,21 +262,22 @@ class _NamePlan:
 
 
 class ZoneCache:
-    """Zone-batched resolution plans, shared across resolvers.
+    """Per-name resolution plans, shared across resolvers.
 
-    The per-site resolver walks the delegation chain once per query:
-    a public-suffix split, zone dict walks, record-list copies, and an
-    NS-tuple rebuild for every site — even though 10K sites delegating
-    to the same provider zone share all of that structure.  A
-    ``ZoneCache`` walks each zone **once**, building a
-    :class:`_NamePlan` for every name in it (a site zone's apex + www
-    names, a provider zone's ns hosts), and the resolver executes the
-    plan instead of re-walking: live ``broken`` checks in hop order,
-    then the precomputed outcome, with geo-aware addresses still
-    picked per vantage at query time.  Faults, TTL caching, and the
-    logical clock are untouched, so batched output is byte-identical
-    to per-site resolution — the property suite asserts exactly that
-    under every fault profile.
+    The one delegation walk of the campaign paths.  A fresh walk per
+    query repeats a public-suffix split, zone dict walks and an NS
+    lookup every time a name is asked for — and thousands of sites ask
+    for the same provider nameservers.  A ``ZoneCache`` walks each name
+    **once**, into a :class:`_NamePlan`, and :meth:`answer` executes
+    the plan for a vantage: live ``broken`` checks in hop order, then
+    the precomputed outcome, with geo-aware addresses picked per
+    vantage at query time.  A resolver with a cache attached answers
+    every uncached query through it, and
+    :func:`~repro.worldgen.slices.project_country` projects the same
+    answers, so the digest and the measurement read one set of plans.
+    Faults, TTL caching, and the logical clock stay with the resolver,
+    so planned output is byte-identical to per-site resolution — the
+    property suite asserts exactly that under every fault profile.
 
     Purely world data: a cache carries no per-unit state, so one
     instance is shared across a campaign's per-country pipelines (and
@@ -280,21 +287,12 @@ class ZoneCache:
     attach caches to Worlds that are.
     """
 
-    def __init__(
-        self, namespace: Namespace, max_cname_depth: int = 8
-    ) -> None:
+    def __init__(self, namespace: Namespace) -> None:
         self._namespace = namespace
-        self._max_cname_depth = max_cname_depth
         self._plans: dict[str, _NamePlan] = {}
-        #: Zone origins whose names have all been planned already.
-        self._walked: set[str] = set()
-        #: One batch walk per zone ever touched.
-        self.zone_walks = 0
-        #: Individual plans built (batch walks included).
-        self.plans_built = 0
         #: Queries answered from an existing plan.
         self.hits = 0
-        #: Queries that had to build (or batch-build) their plan.
+        #: Queries that had to build their plan (one per name).
         self.misses = 0
 
     @property
@@ -303,32 +301,14 @@ class ZoneCache:
         return self._namespace
 
     def stats(self) -> dict[str, int]:
-        """Walk/plan/hit counters (plain ints, never registry metrics).
+        """Hit/miss counters (plain ints, never registry metrics).
 
-        Kept out of the observability registry on purpose: batched and
+        Kept out of the observability registry on purpose: planned and
         per-site resolution must export byte-identical metrics, so the
         cache reports its own efficiency only through side channels
         (benchmarks, profiles).
         """
-        return {
-            "zone_walks": self.zone_walks,
-            "plans_built": self.plans_built,
-            "hits": self.hits,
-            "misses": self.misses,
-        }
-
-    def warm(self, hostnames: Sequence[str]) -> None:
-        """Pre-plan hostnames and their authoritative NS hosts.
-
-        Called by the campaign runner on the parent's World before
-        forking workers: the walks happen once and every forked worker
-        inherits the full plan table copy-on-write.
-        """
-        for hostname in hostnames:
-            plan = self.plan(hostname.lower().rstrip("."))
-            if plan.error is None:
-                for ns_host in plan.ns:
-                    self.plan(ns_host.lower().rstrip("."))
+        return {"hits": self.hits, "misses": self.misses}
 
     def warm_shared_zones(self) -> None:
         """Pre-plan every NS-host name in the namespace.
@@ -347,40 +327,47 @@ class ZoneCache:
             self.plan(host.lower().rstrip("."))
 
     def plan(self, name: str) -> _NamePlan:
-        """The plan for a (normalized) hostname, building on demand.
-
-        A miss batch-walks the hostname's zone first, so sibling names
-        (apex/www, a provider zone's other ns hosts) are planned by
-        the same walk.
-        """
+        """The plan for a (normalized) hostname, building on demand."""
         plan = self._plans.get(name)
         if plan is not None:
             self.hits += 1
             return plan
         self.misses += 1
-        zone = self._namespace.zone_for(name)
-        if zone is not None and zone.origin not in self._walked:
-            self._walk_zone(zone)
-            plan = self._plans.get(name)
-            if plan is not None:
-                return plan
-        plan = self._build_plan(name)
-        self.plans_built += 1
-        self._plans[name] = plan
+        plan = self._plans[name] = self._build_plan(name)
         return plan
 
-    def _walk_zone(self, zone: Zone) -> None:
-        """One pass over a zone plans every name it can answer for."""
-        self._walked.add(zone.origin)
-        self.zone_walks += 1
-        for rname, rtype in list(zone._records):
-            if rtype not in ("A", "CNAME") or rname in self._plans:
-                continue
-            self._plans[rname] = self._build_plan(rname)
-            self.plans_built += 1
+    def answer(
+        self, name: str, continent: str | None, country: str | None
+    ) -> ResolutionResult:
+        """Execute a (normalized) hostname's plan for one vantage.
+
+        The broken-zone checks replay in the exact hop order the fresh
+        walk would visit, so a zone broken *now* produces the same
+        SERVFAIL (same origin in the message) whether or not the plan
+        was built while it was healthy.  Geo answers are picked per
+        vantage here, never at plan time.
+        """
+        plan = self.plan(name)
+        for zone in plan.zones:
+            if zone.broken:
+                raise ServFailError(
+                    f"zone {zone.origin} failed to answer"
+                )
+        if plan.error is not None:
+            raise plan.error(plan.error_msg)
+        return ResolutionResult(
+            name=name,
+            addresses=tuple(
+                r.resolve_address(continent, country)
+                for r in plan.a_records
+            ),
+            cname_chain=plan.cname_chain,
+            authoritative_ns=plan.ns,
+            min_ttl=plan.min_ttl,
+        )
 
     def _build_plan(self, name: str) -> _NamePlan:
-        """Mirror of ``Resolver._resolve_uncached`` minus live state.
+        """``Resolver._resolve_uncached``'s walk minus live state.
 
         The hop structure (zone_for per hop, A before CNAME, NODATA
         before NXDOMAIN, raw-string loop detection) must match the
@@ -406,7 +393,7 @@ class ZoneCache:
                 min_ttl=300.0,
             )
 
-        for _ in range(self._max_cname_depth):
+        for _ in range(MAX_CNAME_DEPTH):
             zone = self._namespace.zone_for(current)
             if zone is None:
                 return failure(
@@ -448,8 +435,7 @@ class ZoneCache:
             return failure(NXDomainError, f"{current!r} does not exist")
         return failure(
             ResolutionError,
-            f"CNAME chain longer than {self._max_cname_depth} "
-            f"for {name!r}",
+            f"CNAME chain longer than {MAX_CNAME_DEPTH} for {name!r}",
         )
 
 
@@ -461,7 +447,9 @@ class Resolver:
     vantages do not poison each other.  Time is a logical clock advanced
     by the caller, which keeps resolution deterministic.  Positive
     answers are cached for the answer's own minimum TTL (clamped to
-    :data:`MAX_TTL`), so short-TTL CDN records actually expire.
+    :data:`MAX_TTL`), so short-TTL CDN records actually expire.  With a
+    ``zone_cache`` attached, every query that misses the TTL caches is
+    answered by :meth:`ZoneCache.answer`.
     """
 
     #: TTL for cached negative answers (RFC 2308-style, in seconds of
@@ -479,7 +467,6 @@ class Resolver:
         vantage_continent: str | None = None,
         vantage_country: str | None = None,
         cache_enabled: bool = True,
-        max_cname_depth: int = 8,
         zone_cache: ZoneCache | None = None,
     ) -> None:
         if zone_cache is not None and zone_cache.namespace is not namespace:
@@ -501,7 +488,6 @@ class Resolver:
             tuple[str, str | None, str | None], float
         ] = {}
         self._cache_enabled = cache_enabled
-        self._max_cname_depth = max_cname_depth
         self._clock = 0.0
         self.queries = 0
         self.cache_hits = 0
@@ -623,23 +609,17 @@ class Resolver:
             )
         return result
 
-    def authoritative_nameservers(self, hostname: str) -> tuple[str, ...]:
-        """The NS set for a hostname's registrable domain."""
-        zone = self._ns.zone_for(hostname)
-        if zone is None:
-            raise NXDomainError(f"no zone is authoritative for {hostname!r}")
-        if zone.broken:
-            raise ServFailError(f"zone {zone.origin} failed to answer")
-        return zone.ns_names()
-
     def _resolve_uncached(self, name: str) -> ResolutionResult:
+        """One fresh answer: the attached :class:`ZoneCache`'s, or a
+        walk of the delegation chain when none is attached (the
+        reference the property suite holds plans to)."""
         cache = self._zone_cache
         if cache is not None:
-            return self._resolve_plan(name, cache.plan(name))
+            return cache.answer(name, self._continent, self._country)
         cname_chain: list[str] = []
         current = name
         min_ttl = float("inf")
-        for _ in range(self._max_cname_depth):
+        for _ in range(MAX_CNAME_DEPTH):
             zone = self._ns.zone_for(current)
             if zone is None:
                 raise NXDomainError(f"{current!r} does not exist")
@@ -678,33 +658,5 @@ class Resolver:
                 raise ResolutionError(f"{current!r} has no address records")
             raise NXDomainError(f"{current!r} does not exist")
         raise ResolutionError(
-            f"CNAME chain longer than {self._max_cname_depth} for {name!r}"
-        )
-
-    def _resolve_plan(self, name: str, plan: _NamePlan) -> ResolutionResult:
-        """Execute a precomputed plan with live failure state.
-
-        The broken-zone checks replay in the exact hop order the fresh
-        walk would visit, so a zone broken *now* produces the same
-        SERVFAIL (same origin in the message) whether or not the plan
-        was built while it was healthy.  Geo answers are still picked
-        per vantage at query time.
-        """
-        for zone in plan.zones:
-            if zone.broken:
-                raise ServFailError(
-                    f"zone {zone.origin} failed to answer"
-                )
-        if plan.error is not None:
-            raise plan.error(plan.error_msg)
-        addresses = tuple(
-            r.resolve_address(self._continent, self._country)
-            for r in plan.a_records
-        )
-        return ResolutionResult(
-            name=name,
-            addresses=addresses,
-            cname_chain=plan.cname_chain,
-            authoritative_ns=plan.ns,
-            min_ttl=plan.min_ttl,
+            f"CNAME chain longer than {MAX_CNAME_DEPTH} for {name!r}"
         )

@@ -418,17 +418,19 @@ def render_metrics_json(payload: dict) -> str:
     """The canonical JSON rendering of a metrics payload.
 
     Shared by :meth:`MetricsRegistry.to_json` and the shard merge, so
-    a merged campaign export is byte-identical to the export a single
-    registry with the same contents would have produced.
+    a merged campaign export renders like a single registry's (whose
+    samples keep label-name order; the merge orders them by label set).
     """
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _sample_sort_key(labels: Mapping[str, object]) -> tuple[str, ...]:
-    # Sample labels keep labelnames order (to_dict builds them with
-    # zip(labelnames, key)), so the value tuple reproduces the
-    # registry's own sorted-by-label-values ordering.
-    return tuple(str(v) for v in labels.values())
+def _sample_sort_key(
+    labels: Mapping[str, object]
+) -> tuple[tuple[str, str], ...]:
+    # The label set, by sorted name: a fresh shard's labels keep
+    # labelnames order while a stored shard's come back key-sorted, and
+    # both must land on one sample.
+    return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
 def merge_metrics_payloads(payloads: Sequence[dict]) -> dict:
@@ -438,13 +440,15 @@ def merge_metrics_payloads(payloads: Sequence[dict]) -> dict:
     totals like resolver query counts, so summing per-shard readings
     yields the campaign total); histograms sum cumulative bucket
     counts, sums, and counts.  Families must agree on type across
-    payloads.  Output families and samples are re-sorted, so the
-    result depends only on the multiset of inputs and their order —
-    callers feed shards in sorted-country order to make the merge
-    independent of shard layout.
+    payloads.  Output families are sorted by name and samples by label
+    set (label names sorted, each with its value), so the result
+    depends only on the multiset of inputs and their order — callers
+    feed shards in sorted-country order to make the merge independent
+    of shard layout — and never on the order a payload lists a
+    sample's labels in.
     """
     families: dict[str, dict] = {}
-    accumulators: dict[str, dict[tuple[str, ...], dict]] = {}
+    accumulators: dict[str, dict[tuple[tuple[str, str], ...], dict]] = {}
     for payload in payloads:
         for name, entry in payload.get("metrics", {}).items():
             family = families.get(name)

@@ -354,7 +354,7 @@ class WorkerContext:
     """Long-lived measurement state shared across country units.
 
     The reusable per-worker context the dispatch overhaul amortizes
-    setup behind: the World plus the zone-batched DNS plan table
+    setup behind: the World plus the DNS plan table
     (:class:`~repro.net.dns.ZoneCache`).  Both are pure functions of
     the world recipe — never of campaign progress — so sharing one
     context across every unit a process measures cannot couple
@@ -439,7 +439,9 @@ class _StoreSession:
     keys, decides which countries can reuse stored shards, checkpoints
     each measured result as it lands, and keeps the manifest current on
     disk — so a kill at any instant loses at most the country units
-    still in flight.
+    still in flight.  The digests are projected through the context's
+    zone cache, the one the campaign's inline and pre-fork units
+    measure with, so measurement reads the plans the projection built.
 
     Its hit/miss/skip counters live in a registry of their own, never
     merged into the campaign's measurement metrics: a resumed run must
@@ -451,7 +453,7 @@ class _StoreSession:
         self,
         store: "CampaignStore",
         spec: CampaignSpec,
-        world: World,
+        context: WorkerContext,
         countries: list[str],
         *,
         resume: bool,
@@ -487,7 +489,11 @@ class _StoreSession:
             )
         self.slices = {
             cc: world_slice_digest(
-                world, cc, spec.vantage_continent, spec.vantage_country
+                context.world,
+                cc,
+                spec.vantage_continent,
+                spec.vantage_country,
+                context.zone_cache,
             )
             for cc in countries
         }
@@ -637,14 +643,16 @@ def run_campaign(
         profiler.world_built("main", build_start, profiler.now())
         return built
 
-    parent_world: World | None = None
+    # The parent's world and zone plans: built for the store session's
+    # digests, then measured with inline or shared with forked workers.
+    shared: WorkerContext | None = None
     session: _StoreSession | None = None
     if store is not None:
-        parent_world = build_parent_world()
+        shared = WorkerContext.for_world(build_parent_world())
         session = _StoreSession(
             store,
             spec,
-            parent_world,
+            shared,
             countries,
             resume=resume,
             baseline=baseline,
@@ -674,13 +682,8 @@ def run_campaign(
     workers = min(workers, max(len(to_measure), 1))
     supervised = workers > 1 or policy is not None or chaos is not None
     if not supervised:
-        shared: WorkerContext | None = None
-        if to_measure:
-            shared = WorkerContext.for_world(
-                parent_world
-                if parent_world is not None
-                else build_parent_world()
-            )
+        if to_measure and shared is None:
+            shared = WorkerContext.for_world(build_parent_world())
         for cc in to_measure:
             assert shared is not None
             compute_start = profiler.now() if profiler is not None else 0.0
@@ -707,18 +710,15 @@ def run_campaign(
         )
         global _PREFORK_CONTEXT
         if method == "fork":
-            prefork = WorkerContext.for_world(
-                parent_world
-                if parent_world is not None
-                else build_parent_world()
-            )
+            if shared is None:
+                shared = WorkerContext.for_world(build_parent_world())
             warm_start = profiler.now() if profiler is not None else 0.0
-            prefork.zone_cache.warm_shared_zones()
+            shared.zone_cache.warm_shared_zones()
             if profiler is not None:
                 profiler.zone_warmed(
                     "main", warm_start, profiler.now()
                 )
-            _PREFORK_CONTEXT = prefork
+            _PREFORK_CONTEXT = shared
         supervisor_registry = MetricsRegistry()
         supervisor = ShardSupervisor(
             spec,

@@ -25,6 +25,12 @@ tiers sit above the raw shards:
 2. the on-disk derived entries, so a restarted server rebuilds nothing
    that any earlier process already built.
 
+A build keeps the parse of the canonical bytes it stored
+(:meth:`~repro.store.store.CampaignStore.put_derived` returns it): the
+JSON round-trip normalizes tuples etc., so its memory entry is the
+payload a disk hit would load, and its only derived-entry read is the
+miss.
+
 Builds, disk hits, and memory hits are counted per kind in the shared
 :class:`~repro.obs.metrics.MetricsRegistry`.  Summary, diff and
 what-if builds take their dataset from a third, smaller tier: the
@@ -70,6 +76,9 @@ __all__ = [
 #: shape or semantics change: old entries then simply never match and
 #: are swept by gc, instead of being served in the stale shape.
 MATERIALIZE_VERSION = "repro-materialize-v1"
+
+#: Entries the memory tier keeps before evicting the least recent.
+MEMORY_SLOTS = 128
 
 
 def encode_body(payload: object) -> bytes:
@@ -138,12 +147,10 @@ class Materializer:
         self,
         store: CampaignStore,
         registry: MetricsRegistry | None = None,
-        memory_slots: int = 128,
     ) -> None:
         self.store = store
         self.registry = registry if registry is not None else MetricsRegistry()
         self._memory: OrderedDict[str, Entry] = OrderedDict()
-        self._memory_slots = memory_slots
         self._datasets: OrderedDict[str, tuple] = OrderedDict()
         self._lock = threading.Lock()
         self._outcomes = self.registry.counter(
@@ -171,17 +178,16 @@ class Materializer:
         if payload is not None:
             self._outcomes.inc(kind=kind, outcome="disk")
         else:
-            payload = build()
-            self.store.put_derived(key, payload, manifests=manifests)
-            # Re-read so memory serves exactly the bytes a restarted
-            # server would: the JSON round-trip normalizes tuples etc.
-            payload = self.store.get_derived(key) or payload
+            # The stored form: what a restarted server would read back.
+            payload = self.store.put_derived(
+                key, build(), manifests=manifests
+            )
             self._outcomes.inc(kind=kind, outcome="build")
         entry = Entry(payload)
         with self._lock:
             self._memory[key] = entry
             self._memory.move_to_end(key)
-            while len(self._memory) > self._memory_slots:
+            while len(self._memory) > MEMORY_SLOTS:
                 self._memory.popitem(last=False)
         return entry
 

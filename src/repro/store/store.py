@@ -337,7 +337,10 @@ class CampaignStore:
     def put_object(self, payload: dict) -> str:
         """Store a payload by content; returns its digest (idempotent),
         the sha256 of the bytes its file holds."""
-        data = _encode(payload)
+        return self._put_encoded(_encode(payload))
+
+    def _put_encoded(self, data: bytes) -> str:
+        """Store a payload's file bytes under their sha256."""
         digest = hashlib.sha256(data).hexdigest()
         path = self._object_path(digest)
         if not path.exists():
@@ -420,7 +423,7 @@ class CampaignStore:
 
     def put_derived(
         self, key: str, payload: dict, manifests: "list[str] | tuple[str, ...]" = ()
-    ) -> str:
+    ) -> dict:
         """Store a materialized payload under a derived key.
 
         The payload lands in ``objects/`` (content-addressed, verified
@@ -428,14 +431,16 @@ class CampaignStore:
         it, recording which manifest digests it was computed from so
         :meth:`gc` can drop it the moment any input manifest changes
         or disappears.  Idempotent: rebuilding the same payload under
-        the same key rewrites identical bytes.
+        the same key rewrites identical bytes.  Returns the parse of
+        the bytes written: the payload :meth:`get_derived` will load.
         """
-        digest = self.put_object(payload)
+        data = _encode(payload)
+        digest = self._put_encoded(data)
         _write(
             self._derived_path(key),
             _encode({"object": digest, "manifests": sorted(manifests)}),
         )
-        return digest
+        return json.loads(data)
 
     def get_derived(self, key: str) -> dict | None:
         """Load a materialized payload by derived key (None on miss).

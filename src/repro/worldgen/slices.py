@@ -7,10 +7,18 @@ that makes sharded execution exact.  :func:`world_slice_digest`
 fingerprints that last input: it projects, for every site of the
 country's toplist in rank order, exactly the observables the
 measurement pipeline can read — the redirect-resolved serving host,
-the vantage-projected A records with their TTLs, the authoritative NS
-set, each nameserver's own resolution and enrichment labels, the
-serving address's AS-organization / geolocation / anycast labels, and
-the TLS issuer — and hashes the projection canonically.
+the answer the resolver gives for it from the vantage (every address
+with its AS-organization / geolocation / anycast labels, the CNAME
+chain, the authoritative NS set and the minimum TTL, or the error's
+class and message), the same answer for each nameserver, and the TLS
+issuer — and hashes the projection canonically.
+
+The answers are :meth:`ZoneCache.answer <repro.net.dns.ZoneCache.answer>`
+executions, the same plan execution a resolver with that cache
+attached performs, so the projection has no walk of its own to drift
+from the resolver's.  A campaign hands the projection the cache its
+country units measure with, so measurement reads the plans the
+projection built instead of walking every zone again.
 
 Two worlds that agree on a country's digest are indistinguishable to
 the pipeline for that country and vantage, so a result stored under
@@ -25,21 +33,20 @@ from __future__ import annotations
 import hashlib
 import json
 
-from ..errors import ReproError
+from ..errors import ReproError, ResolutionError
+from ..net.dns import ZoneCache
 from .world import World
 
 __all__ = ["world_slice_digest", "project_country"]
 
 #: Bumped when the projection itself changes shape.
-SLICE_SCHEMA = "repro-slice-v1"
-
-#: CNAME-chain depth matching the resolver's default.
-_MAX_CNAME_DEPTH = 8
+SLICE_SCHEMA = "repro-slice-v2"
 
 
 def _project_address(world: World, address: int) -> list:
-    """Every enrichment label the pipeline attaches to an address."""
+    """An address with every enrichment label the pipeline attaches."""
     return [
+        address,
         world.asdb.org_of_ip(address),
         world.asdb.country_of_ip(address),
         world.geo.country_of(address),
@@ -48,49 +55,26 @@ def _project_address(world: World, address: int) -> list:
     ]
 
 
-def _project_name(
+def _project_answer(
     world: World,
+    cache: ZoneCache,
     name: str,
     continent: str | None,
     country: str | None,
 ) -> dict:
-    """Project one hostname's resolution as the resolver would see it."""
-    current = name.lower().rstrip(".")
-    chain: list = []
-    for _ in range(_MAX_CNAME_DEPTH):
-        zone = world.namespace.zone_for(current)
-        if zone is None:
-            return {"error": "nxdomain", "chain": chain}
-        if zone.broken:
-            return {"error": "servfail", "chain": chain}
-        a_records = zone.lookup(current, "A")
-        if a_records:
-            addresses = [
-                [r.resolve_address(continent, country), r.ttl]
-                for r in a_records
-            ]
-            ns = [
-                [str(r.value), r.ttl]
-                for r in zone.lookup(zone.origin, "NS")
-            ]
-            return {
-                "chain": chain,
-                "addresses": addresses,
-                "ns": ns,
-                "enrich": _project_address(world, addresses[0][0]),
-            }
-        cnames = zone.lookup(current, "CNAME")
-        if cnames:
-            target = str(cnames[0].value)
-            chain.append([target, cnames[0].ttl])
-            if any(target == hop for hop, _ in chain[:-1]):
-                return {"error": "cname-loop", "chain": chain}
-            current = target
-            continue
-        if zone.has_name(current):
-            return {"error": "nodata", "chain": chain}
-        return {"error": "nxdomain", "chain": chain}
-    return {"error": "cname-depth", "chain": chain}
+    """One hostname's answer from the vantage, as the resolver gives it."""
+    try:
+        answer = cache.answer(name.lower().rstrip("."), continent, country)
+    except ResolutionError as exc:
+        return {"error": [type(exc).__name__, str(exc)]}
+    return {
+        "addresses": [
+            _project_address(world, address) for address in answer.addresses
+        ],
+        "chain": list(answer.cname_chain),
+        "ns": list(answer.authoritative_ns),
+        "min_ttl": answer.min_ttl,
+    }
 
 
 def project_country(
@@ -98,17 +82,22 @@ def project_country(
     country: str,
     vantage_continent: str | None,
     vantage_country: str | None = None,
+    zone_cache: ZoneCache | None = None,
 ) -> dict:
     """The full vantage-projected observable state of one country.
 
-    The projection is JSON-ready and deterministic; its canonical
-    digest is :func:`world_slice_digest`.
+    ``zone_cache`` (built for ``world.namespace``) answers every name;
+    a fresh one is used when none is given.  The projection is
+    JSON-ready and deterministic; its canonical digest is
+    :func:`world_slice_digest`.
     """
     toplist = world.toplists.get(country)
     if toplist is None:
         raise ReproError(
             f"world has no toplist for {country!r}; cannot project"
         )
+    if zone_cache is None:
+        zone_cache = ZoneCache(world.namespace)
     nameservers: dict[str, dict] = {}
     sites: list[dict] = []
     for domain in toplist.domains:
@@ -121,14 +110,16 @@ def project_country(
             sites.append(entry)
             continue
         entry["serving_host"] = serving_host
-        resolution = _project_name(
-            world, serving_host, vantage_continent, vantage_country
+        resolution = _project_answer(
+            world, zone_cache, serving_host, vantage_continent,
+            vantage_country,
         )
         entry["resolution"] = resolution
-        for ns_host, _ttl in resolution.get("ns", ()):
+        for ns_host in resolution.get("ns", ()):
             if ns_host not in nameservers:
-                nameservers[ns_host] = _project_name(
-                    world, ns_host, vantage_continent, vantage_country
+                nameservers[ns_host] = _project_answer(
+                    world, zone_cache, ns_host, vantage_continent,
+                    vantage_country,
                 )
         issuer = world._site_issuer.get(domain)
         entry["tls"] = [
@@ -156,10 +147,11 @@ def world_slice_digest(
     country: str,
     vantage_continent: str | None,
     vantage_country: str | None = None,
+    zone_cache: ZoneCache | None = None,
 ) -> str:
     """Canonical sha256 of one country's vantage-projected slice."""
     projection = project_country(
-        world, country, vantage_continent, vantage_country
+        world, country, vantage_continent, vantage_country, zone_cache
     )
     text = json.dumps(
         projection, sort_keys=True, separators=(",", ":")

@@ -168,6 +168,40 @@ class TestOneMeasurementPath:
         assert given.open_circuits == built.open_circuits
 
 
+    def test_store_backed_measurement_reads_the_projected_plans(
+        self, tmp_path: Path, monkeypatch: pytest.MonkeyPatch
+    ) -> None:
+        # The store session's slice digests plan every name the
+        # campaign resolves; measurement then only reads those plans.
+        from repro.net import ZoneCache
+        from repro.pipeline import parallel
+        from repro.store import CampaignStore
+
+        caches: list[ZoneCache] = []
+        init = ZoneCache.__init__
+
+        def remember(self, *args, **kwargs) -> None:
+            init(self, *args, **kwargs)
+            caches.append(self)
+
+        projected: list[dict] = []
+        session_init = parallel._StoreSession.__init__
+
+        def after_projection(self, *args, **kwargs) -> None:
+            session_init(self, *args, **kwargs)
+            projected.extend(cache.stats() for cache in caches)
+
+        monkeypatch.setattr(ZoneCache, "__init__", remember)
+        monkeypatch.setattr(
+            parallel._StoreSession, "__init__", after_projection
+        )
+        run_campaign(SPEC, store=CampaignStore(tmp_path))
+        assert len(caches) == 1 and len(projected) == 1
+        measured = caches[0].stats()
+        assert measured["misses"] == projected[0]["misses"]
+        assert measured["hits"] > projected[0]["hits"]
+
+
 class TestSpecCountries:
     def test_country_outside_the_config_is_rejected(self) -> None:
         with pytest.raises(PipelineError, match="not in the world config: FR"):

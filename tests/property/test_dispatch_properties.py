@@ -1,6 +1,6 @@
 """Property tests for the dispatch overhaul's two identity claims.
 
-The zone-batched DNS planner (:class:`repro.net.ZoneCache`) and the
+The DNS planner (:class:`repro.net.ZoneCache`) and the
 supervisor's chunked dispatch are pure performance machinery: neither
 may perturb a single output byte.  Hypothesis drives both claims —
 

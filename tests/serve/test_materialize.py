@@ -50,9 +50,9 @@ class TestDerivedStore:
     def test_put_get_roundtrip(self, served_store):
         store = store_of(served_store)
         key = derived_key("campaign", {"manifest": "test-roundtrip"})
-        digest = store.put_derived(key, {"answer": 42})
+        assert store.put_derived(key, {"answer": 42}) == {"answer": 42}
         assert store.get_derived(key) == {"answer": 42}
-        assert store.get_object(digest) == {"answer": 42}
+        assert store.get_object(digest_of({"answer": 42})) == {"answer": 42}
         assert key in store.derived_keys()
 
     def test_miss_returns_none(self, served_store):
@@ -69,7 +69,8 @@ class TestDerivedStore:
     def test_dangling_entry_self_heals(self, tmp_path):
         store = store_of(tmp_path)
         key = derived_key("campaign", {"manifest": "y"})
-        digest = store.put_derived(key, {"v": 2})
+        store.put_derived(key, {"v": 2})
+        digest = digest_of({"v": 2})
         path = store._objects / digest[:2] / f"{digest}.json"
         path.unlink()
         assert store.get_derived(key) is None
@@ -141,6 +142,46 @@ class TestMaterializer:
         for kind, count in kinds.items():
             assert second_outcomes.value(kind=kind, outcome="disk") == count
             assert second_outcomes.value(kind=kind, outcome="build") == 0
+
+    def test_cold_build_reads_each_derived_entry_once(
+        self, served_store, campaign_ids, tmp_path, monkeypatch
+    ):
+        import shutil
+
+        root = tmp_path / "store"
+        shutil.copytree(served_store, root)
+        shutil.rmtree(root / "derived")
+        store = store_of(root)
+        base, evolved = campaign_ids
+        manifest_a = store.load_manifest(base)
+        manifest_b = store.load_manifest(evolved)
+        digest_a = digest_of(manifest_a)
+        digest_b = digest_of(manifest_b)
+        reads: Counter = Counter()
+        get_derived = CampaignStore.get_derived
+
+        def counted(self, key):
+            reads[key] += 1
+            return get_derived(self, key)
+
+        monkeypatch.setattr(CampaignStore, "get_derived", counted)
+        materializer = Materializer(store)
+        built = [
+            materializer.summary(base, manifest_a, digest_a).payload,
+            materializer.diff(
+                base, evolved, manifest_a, manifest_b, digest_a, digest_b
+            ).payload,
+        ]
+        keys = store.derived_keys()
+        # one read per payload: the miss that sends it to a build
+        assert len(keys) == 2
+        assert reads == {key: 1 for key in keys}
+        # the memory tier holds what a restarted server would load
+        monkeypatch.undo()
+        restarted = store_of(root)
+        assert sorted(built, key=json.dumps) == sorted(
+            (restarted.get_derived(key) for key in keys), key=json.dumps
+        )
 
     def test_manifest_change_invalidates(self, served_store):
         store = store_of(served_store)

@@ -141,8 +141,16 @@ class TestFsck:
         paths = object_paths(populated)
         corrupt_object(paths[0])
         index_dir = Path(populated.root, "index")
-        index_paths = sorted(index_dir.glob("*.json"))
-        index_paths[1].write_text("not json", encoding="utf-8")
+        # Break the index entry naming the corrupt object (chosen by
+        # content, not by where its key sorts), so the only dangling
+        # entry is the phantom.
+        [broken] = [
+            path
+            for path in index_dir.glob("*.json")
+            if json.loads(path.read_text(encoding="utf-8"))["object"]
+            == paths[0].stem
+        ]
+        broken.write_text("not json", encoding="utf-8")
         (index_dir / "phantom.json").write_text(
             json.dumps({"object": "f" * 64}), encoding="utf-8"
         )
@@ -150,7 +158,7 @@ class TestFsck:
         report = populated.fsck()
         assert not report.clean
         assert report.corrupt_objects == [paths[0].stem]
-        assert report.corrupt_index == [index_paths[1].stem]
+        assert report.corrupt_index == [broken.stem]
         assert report.dangling_index == ["phantom"]
         # The corrupt object is referenced by a manifest entry.
         campaigns = [

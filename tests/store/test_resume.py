@@ -8,6 +8,7 @@ countries while producing output byte-identical to a full re-measure.
 
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from repro.pipeline import (
     CampaignHalted,
     CampaignSpec,
     export_csv,
+    measure_country_unit,
     run_campaign,
 )
 from repro.store import CampaignStore, campaign_id
@@ -209,6 +211,55 @@ class TestSince:
             run_campaign(
                 SPEC, workers=1, store=store, baseline="0" * 64
             )
+
+
+class TestMetricsAcrossReuse:
+    """A reused shard's metrics come back from the store with their
+    labels key-sorted; a fresh shard's keep label-name order.  Where a
+    reused and a re-measured country fail on the same nameserver, the
+    merge must still give that label set one sample, in full-run
+    order."""
+
+    @pytest.mark.parametrize("seed", [3, 7])
+    def test_resume_and_since_write_full_run_metrics(
+        self, seed: int, tmp_path: Path
+    ) -> None:
+        spec = CampaignSpec(
+            config=WorldConfig(sites_per_country=50, countries=("TH", "US")),
+            fault_profile="chaos",
+            fault_seed=seed,
+            retries=2,
+            instrument=True,
+        )
+        evolved = dataclasses.replace(
+            spec, churn=ChurnConfig(churn_countries=("TH",))
+        )
+        world = spec.build_world()
+        ns_failures = [
+            {
+                tuple(sorted(sample["labels"].items()))
+                for sample in measure_country_unit(world, spec, cc).metrics[
+                    "metrics"
+                ]["repro_ns_failures_total"]["samples"]
+            }
+            for cc in ("TH", "US")
+        ]
+        assert ns_failures[0] & ns_failures[1]  # a shared failing ns
+        full = run_campaign(spec, world=world)
+        store = CampaignStore(tmp_path / "store")
+        with pytest.raises(CampaignHalted):
+            run_campaign(spec, store=store, halt_after=1)
+        resumed = run_campaign(spec, store=store, resume=True)
+        assert render_metrics_json(resumed.metrics) == render_metrics_json(
+            full.metrics
+        )
+        since = run_campaign(evolved, store=store, baseline=resumed.campaign)
+        assert countries_of(
+            since.store_metrics, "repro_store_shard_hits_total"
+        ) == {"US"}
+        assert render_metrics_json(since.metrics) == render_metrics_json(
+            run_campaign(evolved).metrics
+        )
 
 
 class TestGuards:
