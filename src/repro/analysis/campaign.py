@@ -22,6 +22,7 @@ from pathlib import Path
 
 from ..errors import PipelineError
 from ..obs.metrics import metric_total
+from ..obs.spans import Span
 
 __all__ = ["load_metrics", "render_campaign_report"]
 
@@ -110,7 +111,7 @@ def _cache_lines(metrics: dict) -> list[str]:
     return lines
 
 
-def _stage_lines(metrics: dict, spans: list[dict] | None) -> list[str]:
+def _stage_lines(metrics: dict, spans: list[Span] | None) -> list[str]:
     lines: list[str] = []
     entry = metrics.get("metrics", {}).get("repro_stage_logical_seconds")
     if entry is not None and entry.get("samples"):
@@ -132,8 +133,8 @@ def _stage_lines(metrics: dict, spans: list[dict] | None) -> list[str]:
     # freshly measured ones count here.
     by_stage: dict[str, list[float]] = defaultdict(list)
     for span in spans or ():
-        if "wall_ms" in span:
-            by_stage[span.get("name", "?")].append(float(span["wall_ms"]))
+        if span.wall_ms is not None:
+            by_stage[span.name].append(float(span.wall_ms))
     if by_stage:
         rows_w = sorted(
             (
@@ -312,7 +313,7 @@ def _supervisor_lines(store_metrics: dict) -> list[str]:
 
 def render_campaign_report(
     metrics: dict,
-    spans: list[dict] | None = None,
+    spans: list[Span] | None = None,
     top: int = 5,
     store_metrics: dict | None = None,
 ) -> str:

@@ -38,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..obs.profile import PROFILE_SPAN_NAMES, lifecycle_accounting
+from ..obs.spans import Span
 
 __all__ = [
     "TraceProfile",
@@ -56,29 +57,29 @@ __all__ = [
 _EPS = 2e-6
 
 
-def _end(span: dict) -> float:
-    return span["start_logical"] + span["logical_seconds"]
+def _end(span: Span) -> float:
+    return span.start_logical + span.logical_seconds
 
 
-def _split(spans: list[dict]) -> tuple[list[dict], list[dict]]:
+def _split(spans: list[Span]) -> tuple[list[Span], list[Span]]:
     """``(pipeline spans, lifecycle spans)`` of one loaded trace."""
-    pipeline: list[dict] = []
-    profile: list[dict] = []
+    pipeline: list[Span] = []
+    profile: list[Span] = []
     for span in spans:
-        (profile if span["name"] in PROFILE_SPAN_NAMES else pipeline).append(
+        (profile if span.name in PROFILE_SPAN_NAMES else pipeline).append(
             span
         )
     return pipeline, profile
 
 
-def _campaign_root(profile: list[dict]) -> dict | None:
+def _campaign_root(profile: list[Span]) -> Span | None:
     for span in profile:
-        if span["name"] == "campaign":
+        if span.name == "campaign":
             return span
     return None
 
 
-def worker_timelines(spans: list[dict]) -> dict[str, dict]:
+def worker_timelines(spans: list[Span]) -> dict[str, dict]:
     """Per-worker utilization: busy/idle/spawn seconds and segments.
 
     The ``workers`` part of
@@ -90,7 +91,7 @@ def worker_timelines(spans: list[dict]) -> dict[str, dict]:
     return accounting[1] if accounting is not None else {}
 
 
-def critical_path(spans: list[dict]) -> list[dict]:
+def critical_path(spans: list[Span]) -> list[dict]:
     """The chain of spans bounding the campaign's wall clock.
 
     Walks backward from the campaign root's end: at each cursor the
@@ -108,20 +109,20 @@ def critical_path(spans: list[dict]) -> list[dict]:
     root = _campaign_root(profile)
     if root is None:
         return []
-    children: dict[int, list[dict]] = {}
+    children: dict[int, list[Span]] = {}
     for span in profile:
-        if span["parent_id"] is not None:
-            children.setdefault(span["parent_id"], []).append(span)
-    segments: list[tuple[float, float, dict]] = []
+        if span.parent_id is not None:
+            children.setdefault(span.parent_id, []).append(span)
+    segments: list[tuple[float, float, Span]] = []
 
-    def walk(span: dict, lo: float, hi: float) -> None:
+    def walk(span: Span, lo: float, hi: float) -> None:
         cursor = hi
         # Children sorted by end; the index walks down as the cursor
         # recedes, so every child is considered at most once — which
         # both bounds the walk at O(n) per parent and guarantees
         # termination when zero-duration children sit exactly at the
         # cursor.
-        kids = sorted(children.get(span["span_id"], ()), key=_end)
+        kids = sorted(children.get(span.span_id, ()), key=_end)
         index = len(kids) - 1
         while cursor > lo + _EPS:
             while index >= 0 and _end(kids[index]) > cursor + _EPS:
@@ -134,18 +135,18 @@ def critical_path(spans: list[dict]) -> list[dict]:
             best_end = min(_end(best), cursor)
             if cursor > best_end + _EPS:
                 segments.append((best_end, cursor, span))
-            best_start = max(best["start_logical"], lo)
+            best_start = max(best.start_logical, lo)
             walk(best, best_start, best_end)
             cursor = best_start
 
-    walk(root, root["start_logical"], _end(root))
+    walk(root, root.start_logical, _end(root))
     segments.sort(key=lambda seg: seg[0])
     return [
         {
-            "name": span["name"],
+            "name": span.name,
             "start": round(start, 6),
             "seconds": round(stop - start, 6),
-            "attrs": span["attrs"],
+            "attrs": span.attrs,
         }
         for start, stop, span in segments
         if stop - start > 0
@@ -153,7 +154,7 @@ def critical_path(spans: list[dict]) -> list[dict]:
 
 
 def amdahl_decomposition(
-    spans: list[dict], worker_counts: tuple[int, ...] = (2, 4, 8, 16)
+    spans: list[Span], worker_counts: tuple[int, ...] = (2, 4, 8, 16)
 ) -> dict | None:
     """Empirical serial/parallel split plus speedup bounds.
 
@@ -170,18 +171,18 @@ def amdahl_decomposition(
     root = _campaign_root(profile)
     if root is None:
         return None
-    wall = root["logical_seconds"]
+    wall = root.logical_seconds
     if wall <= 0:
         return None
     events: list[tuple[float, int]] = []
     for span in profile:
-        if span["name"] in ("compute", "world-build"):
-            events.append((span["start_logical"], 1))
+        if span.name in ("compute", "world-build"):
+            events.append((span.start_logical, 1))
             events.append((_end(span), -1))
     events.sort()
     parallel = 0.0
     depth = 0
-    previous = root["start_logical"]
+    previous = root.start_logical
     for at, delta in events:
         if depth >= 2:
             parallel += at - previous
@@ -258,7 +259,7 @@ class TraceProfile:
         }
 
 
-def analyze_trace(spans: list[dict]) -> TraceProfile:
+def analyze_trace(spans: list[Span]) -> TraceProfile:
     """Profile one loaded trace (``load_trace`` output)."""
     pipeline, profile = _split(spans)
     accounting = lifecycle_accounting(profile)
@@ -267,8 +268,8 @@ def analyze_trace(spans: list[dict]) -> TraceProfile:
     )
     stage_seconds: dict[str, float] = {}
     for span in pipeline:
-        stage_seconds[span["name"]] = round(
-            stage_seconds.get(span["name"], 0.0) + span["logical_seconds"],
+        stage_seconds[span.name] = round(
+            stage_seconds.get(span.name, 0.0) + span.logical_seconds,
             6,
         )
     critical = critical_path(spans)
@@ -302,7 +303,7 @@ _PID_CAMPAIGN = 1
 _PID_PIPELINE = 2
 
 
-def chrome_trace(spans: list[dict]) -> dict:
+def chrome_trace(spans: list[Span]) -> dict:
     """The trace as Chrome ``trace_event`` JSON (Perfetto-loadable).
 
     Two process groups: pid 1 is the campaign on the wall clock with
@@ -313,15 +314,15 @@ def chrome_trace(spans: list[dict]) -> dict:
     and threads.
     """
     pipeline, profile = _split(spans)
-    by_id = {span["span_id"]: span for span in spans}
+    by_id = {span.span_id: span for span in spans}
 
-    def country_of(span: dict) -> str:
-        walker: dict | None = span
+    def country_of(span: Span) -> str:
+        walker: Span | None = span
         while walker is not None:
-            country = walker["attrs"].get("country")
+            country = walker.attrs.get("country")
             if country is not None:
                 return str(country)
-            parent = walker["parent_id"]
+            parent = walker.parent_id
             walker = by_id.get(parent) if parent is not None else None
         return "?"
 
@@ -335,34 +336,34 @@ def chrome_trace(spans: list[dict]) -> dict:
         return threads[key]
 
     for span in profile:
-        label = str(span["attrs"].get("worker", "main"))
+        label = str(span.attrs.get("worker", "main"))
         events.append(
             {
-                "name": span["name"],
+                "name": span.name,
                 "ph": "X",
-                "ts": round(span["start_logical"] * 1e6, 3),
-                "dur": round(span["logical_seconds"] * 1e6, 3),
+                "ts": round(span.start_logical * 1e6, 3),
+                "dur": round(span.logical_seconds * 1e6, 3),
                 "pid": _PID_CAMPAIGN,
                 "tid": tid(_PID_CAMPAIGN, label),
                 "args": {
-                    str(k): v for k, v in span["attrs"].items()
+                    str(k): v for k, v in span.attrs.items()
                 }
-                | {"status": span["status"]},
+                | {"status": span.status},
             }
         )
     for span in pipeline:
         events.append(
             {
-                "name": span["name"],
+                "name": span.name,
                 "ph": "X",
-                "ts": round(span["start_logical"] * 1e6, 3),
-                "dur": round(span["logical_seconds"] * 1e6, 3),
+                "ts": round(span.start_logical * 1e6, 3),
+                "dur": round(span.logical_seconds * 1e6, 3),
                 "pid": _PID_PIPELINE,
                 "tid": tid(_PID_PIPELINE, country_of(span)),
                 "args": {
-                    str(k): v for k, v in span["attrs"].items()
+                    str(k): v for k, v in span.attrs.items()
                 }
-                | {"status": span["status"]},
+                | {"status": span.status},
             }
         )
     metadata: list[dict] = [

@@ -746,6 +746,8 @@ def _cmd_longitudinal(args: argparse.Namespace) -> int:
 
 
 def _cmd_measure(args: argparse.Namespace) -> int:
+    from pathlib import Path
+
     from .errors import PipelineError
     from .faults import render_failure_report
     from .obs.metrics import metric_total
@@ -757,6 +759,19 @@ def _cmd_measure(args: argparse.Namespace) -> int:
     )
     from .worldgen import ChurnConfig, WorldConfig
 
+    # The outputs are written after the campaign: a missing directory
+    # must fail before it runs, not lose what it measured.
+    for flag, path in (
+        ("--export", args.export),
+        ("--metrics-out", args.metrics_out),
+        ("--trace-out", args.trace_out),
+        ("--profile-out", args.profile_out),
+    ):
+        if path and not Path(path).parent.is_dir():
+            raise PipelineError(
+                f"{flag} {path}: directory {Path(path).parent} does not "
+                f"exist"
+            )
     kwargs = {"sites_per_country": args.sites}
     if args.countries:
         kwargs["countries"] = tuple(

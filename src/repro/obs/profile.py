@@ -9,10 +9,11 @@ exactly that layer: the parent process (and, via timings shipped back
 over the supervisor pipe, each worker) reports lifecycle events, and
 the profiler turns them into
 
-* **lifecycle spans** — the same dict shape the site tracer emits, so
-  they stitch into the campaign trace and flow through every existing
-  trace tool.  Timestamps are campaign-relative wall-clock seconds
-  stored in the ``start_logical``/``logical_seconds`` fields: the
+* **lifecycle spans** — :class:`~repro.obs.spans.Span` rows, the
+  shape the site tracer emits, so they stitch into the campaign trace
+  and flow through every existing trace tool.  Timestamps are
+  campaign-relative wall-clock seconds stored in the
+  ``start_logical``/``logical_seconds`` fields: the
   profiler's "logical clock" *is* the campaign wall clock, which is
   what makes worker timelines and the critical path computable from
   the trace alone (:mod:`repro.analysis.traceprof`);
@@ -53,6 +54,7 @@ import time
 from collections.abc import Callable, Iterable
 
 from .metrics import MetricsRegistry
+from .spans import Span
 
 __all__ = [
     "CampaignProfiler",
@@ -83,7 +85,7 @@ QUEUE_DEPTH_BUCKETS: tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
 
 def lifecycle_accounting(
-    spans: Iterable[dict],
+    spans: Iterable[Span],
 ) -> tuple[float, dict[str, dict], dict[str, float], dict[str, float]] | None:
     """Worker, phase and queue-wait accounting of one campaign.
 
@@ -113,11 +115,11 @@ def lifecycle_accounting(
     without a ``queue-wait`` span waited 0), empty when nothing was
     dispatched.  Every figure is rounded to microseconds.
     """
-    lifecycle = [s for s in spans if s["name"] in PROFILE_SPAN_NAMES]
-    root = next((s for s in lifecycle if s["name"] == "campaign"), None)
+    lifecycle = [s for s in spans if s.name in PROFILE_SPAN_NAMES]
+    root = next((s for s in lifecycle if s.name == "campaign"), None)
     if root is None:
         return None
-    wall = root["logical_seconds"]
+    wall = root.logical_seconds
     workers: dict[str, dict] = {}
     phases: dict[str, float] = {}
     dispatches: dict[int, float] = {}
@@ -141,23 +143,23 @@ def lifecycle_accounting(
         )
 
     for span in lifecycle:
-        name = span["name"]
+        name = span.name
         if name == "campaign":
             continue
-        seconds = span["logical_seconds"]
+        seconds = span.logical_seconds
         if name == "queue-wait":
             waits.append(seconds)
             continue
         phases[name] = phases.get(name, 0.0) + seconds
-        on_root = span["parent_id"] == root["span_id"]
-        label = span["attrs"].get("worker", "main")
+        on_root = span.parent_id == root.span_id
+        label = span.attrs.get("worker", "main")
         if name == "dispatch" or (name == "compute" and on_root):
             entry = track(label)
             entry["busy"] += seconds
             entry["tasks"] += 1
-            start = span["start_logical"]
+            start = span.start_logical
             entry["segments"].append(
-                (start, start + seconds, span["attrs"].get("country", "?"))
+                (start, start + seconds, span.attrs.get("country", "?"))
             )
         elif name == "worker-spawn":
             track(label)["spawn"] += seconds
@@ -166,9 +168,9 @@ def lifecycle_accounting(
         if name == "world-build":
             track(label)["world_build"] += seconds
         if name == "dispatch":
-            dispatches[span["span_id"]] = seconds
+            dispatches[span.span_id] = seconds
         elif name in ("compute", "world-build") and not on_root:
-            parent = span["parent_id"]
+            parent = span.parent_id
             nested[parent] = nested.get(parent, 0.0) + seconds
     phases["dispatch-overhead"] = sum(
         max(seconds - nested.get(span_id, 0.0), 0.0)
@@ -222,7 +224,7 @@ class CampaignProfiler:
         self._enqueued: dict[str, float] = {}
         self._queue_depths: list[int] = []
         self._merge: tuple[float, float] | None = None
-        self._finished: tuple[list[dict], dict] | None = None
+        self._finished: tuple[list[Span], dict] | None = None
 
     # ------------------------------------------------------------------
     # Event hooks (parent side)
@@ -392,13 +394,13 @@ class CampaignProfiler:
     # Finalization
     # ------------------------------------------------------------------
 
-    def finish(self) -> tuple[list[dict], dict]:
+    def finish(self) -> tuple[list[Span], dict]:
         """Close the campaign and return ``(spans, metrics payload)``.
 
-        Spans are in the tracer dict shape with campaign-relative
-        wall-clock timestamps; the payload is a metrics-registry
-        export holding the worker-utilization, queue-depth, queue-wait
-        and phase-attribution families.  Idempotent: the first call
+        Spans are rows with campaign-relative wall-clock timestamps;
+        the payload is a metrics-registry export holding the
+        worker-utilization, queue-depth, queue-wait and
+        phase-attribution families.  Idempotent: the first call
         freezes the campaign end.
         """
         if self._finished is not None:
@@ -414,13 +416,13 @@ class CampaignProfiler:
         self._finished = (spans, payload)
         return self._finished
 
-    def _build_spans(self, end: float) -> list[dict]:
+    def _build_spans(self, end: float) -> list[Span]:
         t0 = self._t0
 
         def rel(t: float) -> float:
             return round(max(t - t0, 0.0), 6)
 
-        spans: list[dict] = []
+        spans: list[Span] = []
 
         def emit(
             name: str,
@@ -434,17 +436,17 @@ class CampaignProfiler:
             span_id = len(spans) + 1
             duration = max(stop - start, 0.0)
             spans.append(
-                {
-                    "span_id": span_id,
-                    "parent_id": parent_id,
-                    "name": name,
-                    "attrs": attrs,
-                    "start_logical": rel(start),
-                    "logical_seconds": round(duration, 6),
-                    "wall_ms": round(duration * 1000.0, 3),
-                    "status": status,
-                    "error": error,
-                }
+                Span(
+                    attrs=attrs,
+                    error=error,
+                    logical_seconds=round(duration, 6),
+                    name=name,
+                    parent_id=parent_id,
+                    span_id=span_id,
+                    start_logical=rel(start),
+                    status=status,
+                    wall_ms=duration * 1000.0,
+                )
             )
             return span_id
 
@@ -481,7 +483,7 @@ class CampaignProfiler:
             )
         return spans
 
-    def _build_metrics(self, spans: list[dict]) -> dict:
+    def _build_metrics(self, spans: list[Span]) -> dict:
         accounting = lifecycle_accounting(spans)
         assert accounting is not None  # _build_spans always emits the root
         wall, workers, phases, queue_wait = accounting

@@ -11,9 +11,16 @@ campaign.  Every span carries **two** clocks:
   what perf work optimizes.
 
 Only logical durations are deterministic; wall durations vary run to
-run and therefore never feed the metrics registry.  Finished spans are
-emitted as JSON Lines (a ``_schema`` header line, then one object per
-span) via :func:`write_spans_jsonl`, a format that streams, greps,
+run and therefore never feed the metrics registry.
+
+A finished span is a :class:`Span` row: an immutable tuple whose
+fields are the trace keys in sorted order.  The tracer appends each
+row once, when its span closes, and every later stage — the unit
+result, the store, the stitch, the trace readers — passes rows along
+unconverted.  A row becomes JSON in two places only: the store codec
+(:func:`repro.store.store.encode_shard`, which drops ``wall_ms``) and
+:func:`write_spans_jsonl`, which writes JSON Lines (a ``_schema``
+header line, then one object per span), a format that streams, greps,
 and loads into dataframes without a schema negotiation.  Loading is
 versioned and typed: :func:`load_trace` raises
 :class:`~repro.errors.TraceFormatError` (or, when asked, skips) on
@@ -25,9 +32,9 @@ from __future__ import annotations
 
 import json
 import time
-from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Sequence
 from pathlib import Path
+from typing import NamedTuple
 
 from ..errors import TraceFormatError
 from .log import get_logger
@@ -47,77 +54,92 @@ __all__ = [
 TRACE_SCHEMA = "repro-trace-v1"
 
 
-@dataclass(slots=True)
-class Span:
-    """One timed, attributed stage of pipeline work."""
+class Span(NamedTuple):
+    """One finished span; the fields are the trace keys, sorted.
 
+    Numeric fields are Python ints or floats.  ``wall_ms`` is the
+    unrounded wall-clock duration in milliseconds (the trace file
+    rounds it to microseconds), or None for a span read back from the
+    campaign store, which never stores wall time.
+    """
+
+    attrs: dict[str, object]
+    error: str | None
+    logical_seconds: float
     name: str
-    span_id: int
     parent_id: int | None
-    attrs: dict[str, object] = field(default_factory=dict)
-    start_logical: float = 0.0
-    end_logical: float | None = None
-    start_wall: float = 0.0
-    end_wall: float | None = None
-    status: str = "ok"
-    error: str | None = None
+    span_id: int
+    start_logical: float
+    status: str
+    wall_ms: float | None
 
-    @property
-    def logical_seconds(self) -> float:
-        """Logical-clock duration (0 until the span finishes)."""
-        if self.end_logical is None:
-            return 0.0
-        return self.end_logical - self.start_logical
 
-    @property
-    def wall_seconds(self) -> float:
-        """Wall-clock duration (0 until the span finishes)."""
-        if self.end_wall is None:
-            return 0.0
-        return self.end_wall - self.start_wall
+#: Builds a row from a ready tuple without a Python-level ``__new__``
+#: frame: the tracer closes seven spans per site.
+_row = tuple.__new__
 
-    def to_dict(self) -> dict:
-        """The JSONL representation of a finished span."""
-        return {
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "name": self.name,
-            "attrs": self.attrs,
-            "start_logical": self.start_logical,
-            "logical_seconds": self.logical_seconds,
-            "wall_ms": round(self.wall_seconds * 1000.0, 3),
-            "status": self.status,
-            "error": self.error,
-        }
+#: The fields every trace line must carry; ``wall_ms`` may be absent.
+_REQUIRED_FIELDS = Span._fields[:-1]
+
+#: ``json.dumps(..., sort_keys=True)`` without building an encoder per
+#: call; ``attrs`` values may nest.
+_ATTRS_ENCODER = json.JSONEncoder(sort_keys=True)
+
+#: A span line up to ``status``, in ``json.dumps`` default separators.
+#: ``%r`` of an int or float is its JSON form.
+_LINE_HEAD = (
+    '{"attrs": %s, "error": %s, "logical_seconds": %r, "name": %s, '
+    '"parent_id": %s, "span_id": %r, "start_logical": %r, "status": %s'
+)
 
 
 class _SpanContext:
-    """Context manager closing one open span.
+    """One open span: its state until it closes, then its row.
 
     A plain ``__slots__`` class rather than a generator-based
     ``@contextmanager``: the pipeline opens seven spans per site, and
     the generator machinery (frame suspend/resume plus the wrapper
-    object) dominated the instrumented hot path.
+    object) dominated the instrumented hot path.  A tracer keeps one
+    context per nesting depth, linked to the depth above, and reuses
+    it for every span opened there, so the value ``with`` binds
+    describes the span only while it is open; the finished span is
+    the row :meth:`Tracer.finished` holds.
     """
 
-    __slots__ = ("_tracer", "span")
+    __slots__ = (
+        "_tracer",
+        "parent",
+        "child",
+        "name",
+        "span_id",
+        "attrs",
+        "start_logical",
+        "start_wall",
+    )
 
-    def __enter__(self) -> Span:
-        return self.span
+    def __enter__(self) -> "_SpanContext":
+        return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        span = self.span
-        if exc_type is not None:
-            span.status = "error"
-            span.error = f"{exc_type.__name__}: {exc}"
         tracer = self._tracer
-        span.end_logical = tracer.clock()
-        span.end_wall = tracer._wall()
-        tracer._stack.pop()
-        tracer._finished.append(span)
-        # Recycle this context: the span keeps all the data, and the
-        # pipeline churns through seven contexts per site.
-        tracer._context_pool.append(self)
+        end_logical = tracer.clock()
+        end_wall = tracer._wall()
+        if exc_type is None:
+            status = "ok"
+            error = None
+        else:
+            status = "error"
+            error = f"{exc_type.__name__}: {exc}"
+        parent = self.parent
+        start = self.start_logical
+        tracer._finished.append(
+            _row(Span, (
+                self.attrs, error, end_logical - start, self.name,
+                None if parent is None else parent.span_id, self.span_id,
+                start, status, (end_wall - self.start_wall) * 1000.0,
+            ))
+        )
+        tracer._active = parent
         return False
 
 
@@ -140,16 +162,16 @@ class Tracer:
         )
         self._wall = wall if wall is not None else time.perf_counter
         self._finished: list[Span] = []
-        self._stack: list[Span] = []
         self._next_id = 1
-        #: Recycled span contexts (a context is poolable the moment it
-        #: exits; the Span object itself is never reused).
-        self._context_pool: list[_SpanContext] = []
+        #: The innermost open span's context (None outside any span).
+        self._active: _SpanContext | None = None
+        #: The context of top-level spans; deeper ones hang off it.
+        self._root: _SpanContext | None = None
 
     @property
-    def active(self) -> Span | None:
+    def active(self) -> _SpanContext | None:
         """The innermost open span (None outside any span)."""
-        return self._stack[-1] if self._stack else None
+        return self._active
 
     def finished(self) -> list[Span]:
         """All finished spans, in completion order."""
@@ -157,48 +179,66 @@ class Tracer:
 
     def span(self, name: str, **attrs: object) -> _SpanContext:
         """Open a child span of the innermost open span."""
-        stack = self._stack
-        # Hand-rolled construction: the dataclass __init__ processes
-        # ten keyword defaults per call, and the pipeline opens seven
-        # spans per site — direct attribute stores halve the cost.
-        span = Span.__new__(Span)
-        span.name = name
-        span.span_id = self._next_id
-        span.parent_id = stack[-1].span_id if stack else None
-        span.attrs = attrs
-        span.start_logical = self.clock()
-        span.end_logical = None
-        span.start_wall = self._wall()
-        span.end_wall = None
-        span.status = "ok"
-        span.error = None
-        self._next_id += 1
-        stack.append(span)
-        pool = self._context_pool
-        if pool:
-            context = pool.pop()
-        else:
+        parent = self._active
+        context = self._root if parent is None else parent.child
+        if context is None:
             context = _SpanContext.__new__(_SpanContext)
             context._tracer = self
-        context.span = span
+            context.parent = parent
+            context.child = None
+            if parent is None:
+                self._root = context
+            else:
+                parent.child = context
+        context.name = name
+        context.span_id = span_id = self._next_id
+        self._next_id = span_id + 1
+        context.attrs = attrs
+        context.start_logical = self.clock()
+        context.start_wall = self._wall()
+        self._active = context
         return context
 
 
-def write_spans_jsonl(spans: list[dict], path: str | Path) -> int:
-    """Write serialized span dicts as JSON Lines; returns the span count.
+def write_spans_jsonl(spans: Iterable[Span], path: str | Path) -> int:
+    """Write span rows as JSON Lines; returns the span count.
 
     The first line is a ``{"_schema": TRACE_SCHEMA}`` header; it is
-    not counted and :func:`load_trace` never returns it.
+    not counted and :func:`load_trace` never returns it.  Each span
+    line is the bytes ``json.dumps(span, sort_keys=True)`` gives for
+    the row as a dict, with ``wall_ms`` rounded to three places and
+    left out when None: the row's field order is that key order, so a
+    fixed format renders it, and only a non-empty ``attrs`` goes
+    through the JSON encoder.
     """
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as handle:
-        handle.write(json.dumps({"_schema": TRACE_SCHEMA}) + "\n")
-        for span in spans:
-            handle.write(json.dumps(span, sort_keys=True) + "\n")
-    return len(spans)
+    encode = json.encoder.encode_basestring_ascii
+    encode_attrs = _ATTRS_ENCODER.encode
+    head = _LINE_HEAD
+    count = 0
+    with Path(path).open("w", encoding="utf-8") as handle:
+        write = handle.write
+        write(json.dumps({"_schema": TRACE_SCHEMA}) + "\n")
+        for (attrs, error, logical_seconds, name, parent_id, span_id,
+             start_logical, status, wall_ms) in spans:
+            line = head % (
+                encode_attrs(attrs) if attrs else "{}",
+                "null" if error is None else encode(error),
+                logical_seconds,
+                encode(name),
+                "null" if parent_id is None else parent_id,
+                span_id,
+                start_logical,
+                encode(status),
+            )
+            if wall_ms is None:
+                write(line + "}\n")
+            else:
+                write(line + ', "wall_ms": %r}\n' % round(wall_ms, 3))
+            count += 1
+    return count
 
 
-def stitch_spans(traces: Sequence[Sequence[dict]]) -> list[dict]:
+def stitch_spans(traces: Sequence[Sequence[Span]]) -> list[Span]:
     """Concatenate traces, in the order given, into one span id space.
 
     Every tracer numbers its spans 1..n, so each span's ``span_id`` and
@@ -206,41 +246,51 @@ def stitch_spans(traces: Sequence[Sequence[dict]]) -> list[dict]:
     Nothing is reordered: ``run_campaign`` passes its countries in
     sorted order, each country's spans in completion order, so the
     stitched trace is the same however the campaign was sharded.  A
-    trace at offset 0 passes through uncopied (stitching one trace is
-    the identity); later spans are copied, so inputs are not mutated.
+    trace at offset 0 passes through as the same rows (stitching one
+    trace is the identity); a later trace's rows are rebuilt with the
+    offset ids.
     """
-    stitched: list[dict] = []
+    stitched: list[Span] = []
     for trace in traces:
         offset = len(stitched)
         if not offset:
             stitched.extend(trace)
             continue
-        for span in trace:
-            span = dict(span)
-            span["span_id"] += offset
-            if span["parent_id"] is not None:
-                span["parent_id"] += offset
-            stitched.append(span)
+        stitched.extend(
+            [
+                _row(Span, (
+                    attrs, error, logical_seconds, name,
+                    None if parent_id is None else parent_id + offset,
+                    span_id + offset, start_logical, status, wall_ms,
+                ))
+                for (attrs, error, logical_seconds, name, parent_id,
+                     span_id, start_logical, status, wall_ms) in trace
+            ]
+        )
     return stitched
 
 
-def load_trace(path: str | Path, errors: str = "raise") -> list[dict]:
-    """Load a JSONL trace file back into span dicts.
+def load_trace(path: str | Path, errors: str = "raise") -> list[Span]:
+    """Load a JSONL trace file back into span rows.
 
     A leading ``{"_schema": ...}`` header line is validated and
     dropped: an unknown version always raises
     :class:`~repro.errors.TraceFormatError` (whatever ``errors`` says —
     a wrong-version file is wrong as a whole), while a headerless file
-    is accepted as a legacy trace.  A line that does not parse as a
-    JSON object or lacks the required span fields raises the same
-    typed error with the offending line number, or — with
-    ``errors="skip"`` — is dropped with a structured warning so one
-    mangled line cannot poison a multi-gigabyte campaign trace.
+    is accepted as a legacy trace.  A span line must be a JSON object
+    holding ``attrs``, ``error``, ``logical_seconds``, ``name``,
+    ``parent_id``, ``span_id``, ``start_logical`` and ``status``;
+    ``wall_ms`` may be absent (spans reused from the campaign store
+    carry none) and loads as None, and other keys are ignored.  A line
+    that is not JSON or lacks a required field raises the same typed
+    error with the offending line number, or — with ``errors="skip"``
+    — is dropped with a structured warning so one mangled line cannot
+    poison a multi-gigabyte campaign trace.
     """
     if errors not in ("raise", "skip"):
         raise ValueError(f"errors must be 'raise' or 'skip', got {errors!r}")
     log = get_logger("repro.obs.spans")
-    spans: list[dict] = []
+    spans: list[Span] = []
     skipped = 0
     with Path(path).open(encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -272,11 +322,12 @@ def load_trace(path: str | Path, errors: str = "raise") -> list[dict]:
                         lineno,
                     )
                 continue
-            if (
-                not isinstance(record, dict)
-                or "span_id" not in record
-                or "name" not in record
-            ):
+            missing = (
+                [key for key in _REQUIRED_FIELDS if key not in record]
+                if isinstance(record, dict)
+                else list(_REQUIRED_FIELDS)
+            )
+            if missing:
                 if errors == "skip":
                     skipped += 1
                     log.warning(
@@ -287,12 +338,17 @@ def load_trace(path: str | Path, errors: str = "raise") -> list[dict]:
                     )
                     continue
                 raise TraceFormatError(
-                    "trace line is not a span object (missing span_id/"
-                    "name)",
+                    f"trace line is not a span object (missing "
+                    f"{', '.join(missing)})",
                     path,
                     lineno,
                 )
-            spans.append(record)
+            spans.append(
+                Span(
+                    *[record[key] for key in _REQUIRED_FIELDS],
+                    record.get("wall_ms"),
+                )
+            )
     if skipped:
         log.warning(
             "trace-lines-skipped-total", path=str(path), skipped=skipped

@@ -69,7 +69,7 @@ from ..obs.metrics import (
     render_metrics_json,
 )
 from ..obs.profile import CampaignProfiler
-from ..obs.spans import stitch_spans, write_spans_jsonl
+from ..obs.spans import Span, stitch_spans, write_spans_jsonl
 from ..worldgen.churn import ChurnConfig, evolve
 from ..worldgen.config import WorldConfig
 from ..worldgen.world import World
@@ -208,9 +208,9 @@ class CountryResult:
     #: Metrics-registry payload (``MetricsRegistry.to_dict``) or None
     #: when the unit ran uninstrumented.
     metrics: dict | None
-    #: Finished span dicts (``Span.to_dict``, completion order, span
-    #: ids 1..n) or None when the unit ran uninstrumented.
-    spans: tuple[dict, ...] | None
+    #: Finished span rows (completion order, span ids 1..n) or None
+    #: when the unit ran uninstrumented.
+    spans: tuple[Span, ...] | None
     #: Faults the unit's plan actually injected.
     injected_faults: int
     #: Nameserver circuits open or half-open at end of unit.
@@ -228,9 +228,9 @@ class CampaignResult:
     dataset: MeasurementDataset
     #: Merged metrics payload (None when uninstrumented).
     metrics: dict | None
-    #: The countries' span dicts concatenated in sorted country order,
+    #: The countries' span rows concatenated in sorted country order,
     #: ids offset into one 1..N sequence (None when uninstrumented).
-    spans: tuple[dict, ...] | None
+    spans: tuple[Span, ...] | None
     injected_faults: int
     open_circuits: tuple[str, ...]
     #: Campaign id in the attached store (None when no store was used).
@@ -257,7 +257,7 @@ class CampaignResult:
     #: of ``spans`` for the same reason ``profile`` is kept out of
     #: ``metrics``.  :meth:`write_trace` appends them to the trace
     #: file, where trace analyzers split the layers by span name.
-    profile_spans: tuple[dict, ...] | None = None
+    profile_spans: tuple[Span, ...] | None = None
 
     def write_metrics(self, path: str | Path) -> None:
         """Write the merged metrics payload as deterministic JSON."""
@@ -332,13 +332,11 @@ def measure_country_unit(
     )
     rows = pipeline.measure_country(country)
     metrics: dict | None = None
-    spans: tuple[dict, ...] | None = None
+    spans: tuple[Span, ...] | None = None
     if obs is not None:
         obs.finalize(pipeline)
         metrics = obs.registry.to_dict()
-        spans = tuple(
-            span.to_dict() for span in obs.tracer.finished()
-        )
+        spans = tuple(obs.tracer.finished())
     return CountryResult(
         country=country,
         rows=tuple(rows),
@@ -766,7 +764,7 @@ def run_campaign(
         dataset.extend(unit.rows)
 
     metrics: dict | None = None
-    spans: tuple[dict, ...] | None = None
+    spans: tuple[Span, ...] | None = None
     if spec.instrument:
         metrics = merge_metrics_payloads(
             [unit.metrics for unit in units if unit.metrics is not None]
@@ -779,7 +777,7 @@ def run_campaign(
         {key for unit in units for key in unit.open_circuits}
     )
     profile: dict | None = None
-    profile_spans: tuple[dict, ...] | None = None
+    profile_spans: tuple[Span, ...] | None = None
     if profiler is not None:
         profiler.merged(merge_start, profiler.now())
         finished_spans, profile = profiler.finish()

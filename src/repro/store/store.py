@@ -63,6 +63,7 @@ from ..errors import (
     UnknownIdError,
 )
 from ..obs.metrics import merge_metrics_payloads
+from ..obs.spans import Span
 from ..pipeline.export import rows_from_csv_text, rows_to_csv_text
 from ..pipeline.parallel import CountryResult
 from .digest import canonical_json, digest_of
@@ -233,7 +234,16 @@ def encode_shard(result: CountryResult) -> dict:
     spans = None
     if result.spans is not None:
         spans = [
-            {name: value for name, value in span.items() if name != "wall_ms"}
+            {
+                "attrs": span.attrs,
+                "error": span.error,
+                "logical_seconds": span.logical_seconds,
+                "name": span.name,
+                "parent_id": span.parent_id,
+                "span_id": span.span_id,
+                "start_logical": span.start_logical,
+                "status": span.status,
+            }
             for span in result.spans
         ]
     payload = {
@@ -251,7 +261,11 @@ def encode_shard(result: CountryResult) -> dict:
 
 
 def decode_shard(payload: dict) -> CountryResult:
-    """Rebuild a CountryResult from a stored shard payload."""
+    """Rebuild a CountryResult from a stored shard payload.
+
+    Stored spans come back as rows with ``wall_ms`` None; a stored span
+    that is not an object holding every other field is corruption.
+    """
     if not isinstance(payload, dict) or payload.get("_schema") != SHARD_SCHEMA:
         raise StoreCorruptionError(
             f"unsupported shard schema "
@@ -263,7 +277,24 @@ def decode_shard(payload: dict) -> CountryResult:
             country=payload["country"],
             rows=rows_from_csv_text(payload["csv"]),
             metrics=payload.get("metrics"),
-            spans=tuple(spans) if spans is not None else None,
+            spans=(
+                tuple(
+                    Span(
+                        attrs=span["attrs"],
+                        error=span["error"],
+                        logical_seconds=span["logical_seconds"],
+                        name=span["name"],
+                        parent_id=span["parent_id"],
+                        span_id=span["span_id"],
+                        start_logical=span["start_logical"],
+                        status=span["status"],
+                        wall_ms=None,
+                    )
+                    for span in spans
+                )
+                if spans is not None
+                else None
+            ),
             injected_faults=int(payload.get("injected_faults", 0)),
             open_circuits=tuple(payload.get("open_circuits", ())),
             quarantined=payload.get("quarantined"),

@@ -12,6 +12,7 @@ from repro.faults import RetryPolicy, fault_profile
 from repro.obs import (
     Instrumentation,
     MetricsRegistry,
+    load_trace,
     merge_metrics_payloads,
     write_spans_jsonl,
 )
@@ -39,9 +40,7 @@ def artifacts(tmp_path_factory):
     metrics_path = out / "metrics.json"
     trace_path = out / "trace.jsonl"
     obs.registry.write_json(metrics_path)
-    write_spans_jsonl(
-        [span.to_dict() for span in obs.tracer.finished()], trace_path
-    )
+    write_spans_jsonl(obs.tracer.finished(), trace_path)
     return metrics_path, trace_path
 
 
@@ -93,20 +92,14 @@ class TestRenderReport:
     def test_trace_adds_wall_clock_section(self, artifacts) -> None:
         metrics_path, trace_path = artifacts
         metrics = load_metrics(metrics_path)
-        spans = [
-            json.loads(line)
-            for line in trace_path.read_text().splitlines()
-        ]
+        spans = load_trace(trace_path)
         bare = render_campaign_report(metrics)
         traced = render_campaign_report(metrics, spans=spans)
         assert "wall clock, from trace" not in bare
         assert "slowest stages (wall clock, from trace):" in traced
         assert "slowest stages (logical clock):" in traced
         # spans reused from a store carry no wall time and count for none
-        stored = [
-            {key: value for key, value in span.items() if key != "wall_ms"}
-            for span in spans
-        ]
+        stored = [span._replace(wall_ms=None) for span in spans]
         assert "wall clock, from trace" not in render_campaign_report(
             metrics, spans=stored
         )

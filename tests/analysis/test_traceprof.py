@@ -13,6 +13,7 @@ from repro.analysis.traceprof import (
     render_trace_summary,
     worker_timelines,
 )
+from repro.obs.spans import Span
 
 
 def _span(
@@ -22,21 +23,21 @@ def _span(
     seconds: float,
     parent_id: int | None = None,
     **attrs: object,
-) -> dict:
-    return {
-        "span_id": span_id,
-        "parent_id": parent_id,
-        "name": name,
-        "attrs": attrs,
-        "start_logical": start,
-        "logical_seconds": seconds,
-        "wall_ms": seconds * 1000.0,
-        "status": "ok",
-        "error": None,
-    }
+) -> Span:
+    return Span(
+        attrs=attrs,
+        error=None,
+        logical_seconds=seconds,
+        name=name,
+        parent_id=parent_id,
+        span_id=span_id,
+        start_logical=start,
+        status="ok",
+        wall_ms=seconds * 1000.0,
+    )
 
 
-def _sharded_trace() -> list[dict]:
+def _sharded_trace() -> list[Span]:
     """A hand-built two-worker campaign with known timings.
 
     Wall clock 10 s: spawn 0-1 (both workers), w0 runs TH 1-5 then
@@ -100,7 +101,7 @@ class TestWorkerTimelines:
         assert timelines["w1"]["world_build"] == 1.1
 
     def test_empty_without_lifecycle_spans(self) -> None:
-        pipeline_only = [s for s in _sharded_trace() if s["span_id"] >= 16]
+        pipeline_only = [s for s in _sharded_trace() if s.span_id >= 16]
         assert worker_timelines(pipeline_only) == {}
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.obs.profile import PROFILE_SPAN_NAMES, CampaignProfiler
+from repro.obs.spans import Span
 
 
 class _Wall:
@@ -13,8 +14,8 @@ class _Wall:
         return self.now
 
 
-def _by_name(spans: list[dict], name: str) -> list[dict]:
-    return [s for s in spans if s["name"] == name]
+def _by_name(spans: list[Span], name: str) -> list[Span]:
+    return [s for s in spans if s.name == name]
 
 
 def _gauge(payload: dict, name: str) -> dict:
@@ -27,7 +28,7 @@ def _gauge(payload: dict, name: str) -> dict:
 
 
 class TestSupervisedLifecycle:
-    def _profiled_round_trip(self) -> tuple[list[dict], dict, _Wall]:
+    def _profiled_round_trip(self) -> tuple[list[Span], dict, _Wall]:
         wall = _Wall()
         profiler = CampaignProfiler(wall=wall)
         profiler.enqueued("TH", 0.0)
@@ -72,29 +73,30 @@ class TestSupervisedLifecycle:
             "error",
         }
         for span in spans:
-            assert set(span) == expected_keys
-            assert span["name"] in PROFILE_SPAN_NAMES
+            assert type(span) is Span
+            assert set(span._fields) == expected_keys
+            assert span.name in PROFILE_SPAN_NAMES
 
     def test_hierarchy(self) -> None:
         spans, _payload, _wall = self._profiled_round_trip()
         (root,) = _by_name(spans, "campaign")
-        assert root["span_id"] == 1
-        assert root["parent_id"] is None
-        assert root["logical_seconds"] == 9.0
+        assert root.span_id == 1
+        assert root.parent_id is None
+        assert root.logical_seconds == 9.0
         for name in ("worker-spawn", "queue-wait", "backoff", "merge"):
             for span in _by_name(spans, name):
-                assert span["parent_id"] == root["span_id"]
+                assert span.parent_id == root.span_id
         dispatches = _by_name(spans, "dispatch")
-        assert [d["attrs"]["country"] for d in dispatches] == ["TH", "US"]
-        assert all(d["parent_id"] == root["span_id"] for d in dispatches)
+        assert [d.attrs["country"] for d in dispatches] == ["TH", "US"]
+        assert all(d.parent_id == root.span_id for d in dispatches)
         # Worker-side intervals nest under their dispatch.
         (build,) = _by_name(spans, "world-build")
         th_dispatch = dispatches[0]
-        assert build["parent_id"] == th_dispatch["span_id"]
+        assert build.parent_id == th_dispatch.span_id
         computes = _by_name(spans, "compute")
         assert len(computes) == 2
-        assert {c["parent_id"] for c in computes} == {
-            d["span_id"] for d in dispatches
+        assert {c.parent_id for c in computes} == {
+            d.span_id for d in dispatches
         }
 
     def test_queue_wait_spans(self) -> None:
@@ -102,7 +104,7 @@ class TestSupervisedLifecycle:
         waits = _by_name(spans, "queue-wait")
         # TH waited 0->1 (spawn), US waited 0->5 (worker busy with TH).
         assert [
-            (w["attrs"]["country"], w["logical_seconds"]) for w in waits
+            (w.attrs["country"], w.logical_seconds) for w in waits
         ] == [("TH", 1.0), ("US", 5.0)]
 
     def test_utilization_sums_to_wall(self) -> None:
@@ -158,19 +160,19 @@ class TestFailurePaths:
         wall.now = 4.0
         spans, _payload = profiler.finish()
         first, second = _by_name(spans, "dispatch")
-        assert first["status"] == "error"
-        assert first["error"] == "crash"
-        assert second["status"] == "ok"
+        assert first.status == "error"
+        assert first.error == "crash"
+        assert second.status == "ok"
         (backoff,) = _by_name(spans, "backoff")
-        assert backoff["logical_seconds"] == 0.5
+        assert backoff.logical_seconds == 0.5
         # The retry's queue wait starts when the backoff ends.
         (wait,) = [
             w
             for w in _by_name(spans, "queue-wait")
-            if w["attrs"]["attempt"] == 2
+            if w.attrs["attempt"] == 2
         ]
-        assert wait["start_logical"] == 2.5
-        assert wait["logical_seconds"] == 0.5
+        assert wait.start_logical == 2.5
+        assert wait.logical_seconds == 0.5
 
     def test_open_dispatch_is_closed_at_campaign_end(self) -> None:
         wall = _Wall()
@@ -180,7 +182,7 @@ class TestFailurePaths:
         wall.now = 6.0
         spans, _payload = profiler.finish()
         (dispatch,) = _by_name(spans, "dispatch")
-        assert dispatch["logical_seconds"] == 6.0
+        assert dispatch.logical_seconds == 6.0
 
 
 class TestSerialPath:
@@ -195,7 +197,7 @@ class TestSerialPath:
         spans, payload = profiler.finish()
         computes = _by_name(spans, "compute")
         (root,) = _by_name(spans, "campaign")
-        assert all(c["parent_id"] == root["span_id"] for c in computes)
+        assert all(c.parent_id == root.span_id for c in computes)
         busy = _gauge(payload, "repro_worker_busy_seconds")
         # build 1 + computes 5 + merge 1 = fully busy for 7 s.
         assert busy[("main",)] == 7.0

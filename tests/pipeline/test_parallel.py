@@ -9,7 +9,6 @@ wall-clock timings, which no run can reproduce).
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import pytest
@@ -17,7 +16,7 @@ import pytest
 from repro.analysis import DependenceStudy
 from repro.errors import PipelineError
 from repro.obs.metrics import render_metrics_json
-from repro.obs.spans import stitch_spans
+from repro.obs.spans import Span, stitch_spans
 from repro.pipeline import (
     CampaignSpec,
     SupervisorPolicy,
@@ -72,8 +71,8 @@ class TestSerialParallelIdentity:
     ) -> None:
         assert len(serial.spans) == len(sharded.spans)
         for left, right in zip(serial.spans, sharded.spans):
-            left = {k: v for k, v in left.items() if k != "wall_ms"}
-            right = {k: v for k, v in right.items() if k != "wall_ms"}
+            left = left._replace(wall_ms=None)
+            right = right._replace(wall_ms=None)
             assert left == right
 
     def test_aggregates_identical(self, serial, sharded) -> None:
@@ -88,13 +87,13 @@ class TestSerialParallelIdentity:
         )
 
     def test_span_ids_are_dense_and_renumbered(self, sharded) -> None:
-        ids = [span["span_id"] for span in sharded.spans]
+        ids = [span.span_id for span in sharded.spans]
         assert sorted(ids) == list(range(1, len(ids) + 1))
-        by_id = {span["span_id"]: span for span in sharded.spans}
+        by_id = {span.span_id: span for span in sharded.spans}
         for span in sharded.spans:
-            parent = span["parent_id"]
+            parent = span.parent_id
             if parent is not None:
-                assert by_id[parent]["name"] == "site"
+                assert by_id[parent].name == "site"
 
 
 class TestSpawnContext:
@@ -128,8 +127,8 @@ class TestCountryUnitIsolation:
         assert alone.metrics == again.metrics
         assert len(alone.spans) == len(again.spans)
         for left, right in zip(alone.spans, again.spans):
-            left = {k: v for k, v in left.items() if k != "wall_ms"}
-            right = {k: v for k, v in right.items() if k != "wall_ms"}
+            left = left._replace(wall_ms=None)
+            right = right._replace(wall_ms=None)
             assert left == right
 
     def test_uninstrumented_units_have_no_telemetry(self) -> None:
@@ -218,38 +217,43 @@ class TestSpecCountries:
             CampaignSpec(config=CONFIG, churn=chain)
 
 
+def _span(
+    span_id: int, parent_id: int | None, name: str, start_logical: float = 0.0
+) -> Span:
+    return Span(
+        attrs={},
+        error=None,
+        logical_seconds=0.0,
+        name=name,
+        parent_id=parent_id,
+        span_id=span_id,
+        start_logical=start_logical,
+        status="ok",
+        wall_ms=None,
+    )
+
+
 class TestStitchSpans:
     def test_offsets_and_parent_links(self) -> None:
-        first = [
-            {"span_id": 1, "parent_id": None, "name": "site"},
-            {"span_id": 2, "parent_id": 1, "name": "resolve"},
-        ]
-        second = [
-            {"span_id": 1, "parent_id": None, "name": "site"},
-            {"span_id": 2, "parent_id": 1, "name": "tls"},
-        ]
+        first = [_span(1, None, "site"), _span(2, 1, "resolve")]
+        second = [_span(1, None, "site"), _span(2, 1, "tls")]
         stitched = stitch_spans([first, second])
         # The traces concatenate in the order given; the second one's
         # ids and parent links move up by the two spans before it.
-        assert [s["span_id"] for s in stitched] == [1, 2, 3, 4]
-        assert [s["name"] for s in stitched] == [
+        assert [s.span_id for s in stitched] == [1, 2, 3, 4]
+        assert [s.name for s in stitched] == [
             "site",
             "resolve",
             "site",
             "tls",
         ]
-        assert [s["parent_id"] for s in stitched] == [None, 1, None, 3]
+        assert [s.parent_id for s in stitched] == [None, 1, None, 3]
         # Inputs are not mutated.
-        assert second[0]["span_id"] == 1
+        assert second[0].span_id == 1
 
     def test_one_trace_passes_through_unchanged(self) -> None:
         # Out of start order on purpose: one trace is never reordered.
-        trace = [
-            {"span_id": 1, "parent_id": None, "name": "site",
-             "start_logical": 2.0},
-            {"span_id": 2, "parent_id": 1, "name": "tls",
-             "start_logical": 0.5},
-        ]
+        trace = [_span(1, None, "site", 2.0), _span(2, 1, "tls", 0.5)]
         stitched = stitch_spans([trace])
         assert stitched == trace
         assert all(a is b for a, b in zip(stitched, trace))
@@ -272,8 +276,7 @@ class TestStitchSpans:
 
         def logical(spans, drop=("wall_ms",)):
             return [
-                {k: v for k, v in span.items() if k not in drop}
-                for span in spans
+                span._replace(**{k: None for k in drop}) for span in spans
             ]
 
         assert logical(result.spans) == logical(expected)
@@ -287,20 +290,12 @@ class TestStitchSpans:
         assert offset == len(result.spans)
 
     def test_order_is_invariant_under_shard_layout(self) -> None:
-        spans = [
-            {
-                "span_id": i + 1,
-                "parent_id": None,
-                "name": "site",
-                "start_logical": float(i),
-            }
-            for i in range(6)
-        ]
+        spans = [_span(i + 1, None, "site", float(i)) for i in range(6)]
         one_big = stitch_spans([spans])
         resharded = stitch_spans(
             [
                 [
-                    dict(s, span_id=j + 1)
+                    s._replace(span_id=j + 1)
                     for j, s in enumerate(shard)
                 ]
                 for shard in (spans[:2], spans[2:5], spans[5:])
@@ -308,19 +303,17 @@ class TestStitchSpans:
         )
         # Shard-local ids differ, but the stitched order and dense
         # renumbering come out the same however the campaign sharded.
-        assert [s["start_logical"] for s in one_big] == [
-            s["start_logical"] for s in resharded
+        assert [s.start_logical for s in one_big] == [
+            s.start_logical for s in resharded
         ]
-        assert [s["span_id"] for s in one_big] == [
-            s["span_id"] for s in resharded
+        assert [s.span_id for s in one_big] == [
+            s.span_id for s in resharded
         ]
 
     def test_roundtrips_through_json(self, tmp_path: Path) -> None:
         from repro.obs.spans import load_trace, write_spans_jsonl
 
-        spans = [{"span_id": 1, "parent_id": None, "name": "site"}]
+        spans = [_span(1, None, "site")]
         path = tmp_path / "trace.jsonl"
         assert write_spans_jsonl(spans, path) == 1
-        assert load_trace(path) == json.loads(
-            json.dumps(spans)
-        )
+        assert load_trace(path) == spans

@@ -15,7 +15,7 @@ import pytest
 
 from repro.analysis.traceprof import analyze_trace, chrome_trace
 from repro.obs.profile import PROFILE_SPAN_NAMES
-from repro.obs.spans import load_trace
+from repro.obs.spans import Span, load_trace
 from repro.pipeline import CampaignSpec, run_campaign
 from repro.worldgen import WorldConfig
 
@@ -42,13 +42,13 @@ def campaigns():
 
 def _structure(spans) -> list[tuple]:
     return [
-        (s["name"], s["parent_id"], tuple(sorted(s["attrs"].items())))
+        (s.name, s.parent_id, tuple(sorted(s.attrs.items())))
         for s in spans
     ]
 
 
-def _by_name(spans, name: str) -> list[dict]:
-    return [s for s in spans if s["name"] == name]
+def _by_name(spans, name: str) -> list[Span]:
+    return [s for s in spans if s.name == name]
 
 
 class TestStructureIdentity:
@@ -64,14 +64,14 @@ class TestStructureIdentity:
     ) -> None:
         for result in campaigns.values():
             assert not any(
-                s["name"] in PROFILE_SPAN_NAMES for s in result.spans
+                s.name in PROFILE_SPAN_NAMES for s in result.spans
             )
 
     def test_lifecycle_spans_live_in_profile_spans(self, campaigns) -> None:
         for workers, result in campaigns.items():
             spans = result.profile_spans
             assert spans, f"workers={workers} has no lifecycle spans"
-            assert all(s["name"] in PROFILE_SPAN_NAMES for s in spans)
+            assert all(s.name in PROFILE_SPAN_NAMES for s in spans)
             roots = _by_name(spans, "campaign")
             assert len(roots) == 1
 
@@ -92,7 +92,7 @@ class TestLifecycleCounts:
                 campaigns[workers].profile_spans, "worker-spawn"
             )
             assert len(spawns) == workers
-            assert sorted(s["attrs"]["worker"] for s in spawns) == [
+            assert sorted(s.attrs["worker"] for s in spawns) == [
                 f"w{i}" for i in range(workers)
             ]
 
@@ -100,7 +100,7 @@ class TestLifecycleCounts:
         for result in campaigns.values():
             computes = _by_name(result.profile_spans, "compute")
             assert sorted(
-                s["attrs"]["country"] for s in computes
+                s.attrs["country"] for s in computes
             ) == sorted(CONFIG.countries)
 
     def test_sharded_dispatch_covers_every_country(self, campaigns) -> None:
@@ -108,13 +108,13 @@ class TestLifecycleCounts:
             dispatches = _by_name(
                 campaigns[workers].profile_spans, "dispatch"
             )
-            ok = [d for d in dispatches if d["status"] == "ok"]
-            assert sorted(d["attrs"]["country"] for d in ok) == sorted(
+            ok = [d for d in dispatches if d.status == "ok"]
+            assert sorted(d.attrs["country"] for d in ok) == sorted(
                 CONFIG.countries
             )
 
     def test_serial_run_has_no_dispatch_layer(self, campaigns) -> None:
-        names = {s["name"] for s in campaigns[1].profile_spans}
+        names = {s.name for s in campaigns[1].profile_spans}
         assert "dispatch" not in names
         assert "queue-wait" not in names
 
@@ -219,12 +219,12 @@ class TestTraceRoundTrip:
         path = tmp_path / "trace.jsonl"
         result.write_trace(path)
         spans = load_trace(path)
-        ids = sorted(s["span_id"] for s in spans)
+        ids = sorted(s.span_id for s in spans)
         assert ids == list(range(1, len(spans) + 1))
-        by_id = {s["span_id"]: s for s in spans}
+        by_id = {s.span_id: s for s in spans}
         for span in spans:
-            if span["parent_id"] is not None:
-                assert span["parent_id"] in by_id
+            if span.parent_id is not None:
+                assert span.parent_id in by_id
 
     def test_chrome_export_covers_both_layers(
         self, campaigns, tmp_path

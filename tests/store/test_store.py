@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import PipelineError
+from repro.errors import PipelineError, StoreCorruptionError
+from repro.obs.spans import Span
 from repro.pipeline.parallel import CountryResult
 from repro.pipeline.records import WebsiteMeasurement
 from repro.store import (
@@ -55,7 +56,19 @@ def sample_result(country: str = "DE", *, spans: bool = True) -> CountryResult:
         country=country,
         rows=rows,
         metrics={"metrics": {}} if spans else None,
-        spans=({"span_id": 1, "parent_id": None, "name": "site"},)
+        spans=(
+            Span(
+                attrs={"domain": "example.de"},
+                error=None,
+                logical_seconds=0.5,
+                name="site",
+                parent_id=None,
+                span_id=1,
+                start_logical=0.0,
+                status="ok",
+                wall_ms=None,
+            ),
+        )
         if spans
         else None,
         injected_faults=3,
@@ -122,6 +135,28 @@ class TestObjectsAndIndex:
         assert store.shard_digest("key-1") == digest
         assert store.get_shard("key-1") == result
         assert store.get_shard("key-absent") is None
+
+    @pytest.mark.parametrize(
+        "field", [name for name in Span._fields if name != "wall_ms"]
+    )
+    def test_stored_span_missing_a_field_is_corruption(
+        self, tmp_path: Path, monkeypatch, field: str
+    ) -> None:
+        import repro.store.store as store_module
+
+        encode = store_module.encode_shard
+
+        def dropping(result):
+            payload = encode(result)
+            del payload["spans"][0][field]
+            return payload
+
+        store = CampaignStore(tmp_path)
+        monkeypatch.setattr(store_module, "encode_shard", dropping)
+        store.put_shard("key-1", sample_result())
+        monkeypatch.undo()
+        with pytest.raises(StoreCorruptionError, match="malformed shard"):
+            store.get_shard("key-1")
 
     def test_dangling_index_entry_raises(self, tmp_path: Path) -> None:
         store = CampaignStore(tmp_path)

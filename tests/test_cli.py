@@ -224,6 +224,59 @@ class TestObservabilityFlags:
         # An instrumented campaign also records lifecycle spans.
         assert any(s.get("name") == "campaign" for s in lines)
 
+    @pytest.mark.parametrize(
+        "flag", ["--export", "--metrics-out", "--trace-out", "--profile-out"]
+    )
+    def test_missing_output_directory_fails_before_measuring(
+        self, tmp_path, monkeypatch, flag: str
+    ) -> None:
+        from repro.errors import PipelineError
+        from repro.pipeline import CampaignSpec
+
+        def unreachable(self):
+            raise AssertionError("the world was built before the check")
+
+        monkeypatch.setattr(CampaignSpec, "build_world", unreachable)
+        target = tmp_path / "missing" / "out"
+        with pytest.raises(PipelineError, match=flag):
+            main(
+                [
+                    "measure",
+                    "--sites", "50",
+                    "--countries", "TH",
+                    flag, str(target),
+                ]
+            )
+
+    def test_sharded_trace_has_the_serial_pipeline_lines(
+        self, capsys: pytest.CaptureFixture, tmp_path
+    ) -> None:
+        from repro.obs import PROFILE_SPAN_NAMES
+
+        def pipeline_lines(workers: str) -> list[str]:
+            trace = tmp_path / f"trace-{workers}.jsonl"
+            assert main(
+                [
+                    "measure",
+                    "--sites", "50",
+                    "--countries", "US", "TH",
+                    "--fault-profile", "chaos",
+                    "--retries", "3",
+                    "--workers", workers,
+                    "--trace-out", str(trace),
+                ]
+            ) == 0
+            # wall_ms is the last key of a span line.
+            return [
+                line.partition(', "wall_ms": ')[0]
+                for line in trace.read_text().splitlines()[1:]
+                if json.loads(line)["name"] not in PROFILE_SPAN_NAMES
+            ]
+
+        serial = pipeline_lines("1")
+        assert serial
+        assert pipeline_lines("2") == serial
+
     def test_report_campaign_end_to_end(
         self, capsys: pytest.CaptureFixture, tmp_path
     ) -> None:
