@@ -1237,9 +1237,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     server = serve(args.store, host=args.host, port=args.port)
     host, port = server.server_address[:2]
+    # Flushed: a supervisor reading the port through a pipe would
+    # otherwise wait for the block buffer until the server exits.
     print(
         f"repro serve: {args.store} on http://{host}:{port} "
-        f"(Ctrl-C to stop)"
+        f"(Ctrl-C to stop)",
+        flush=True,
     )
     try:
         server.serve_forever()

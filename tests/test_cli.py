@@ -1076,3 +1076,64 @@ class TestServeCli:
         out = capsys.readouterr().out
         assert "repro serve:" in out
         assert "http://127.0.0.1:" in out
+
+    def test_listen_line_arrives_through_a_pipe(self, tmp_path) -> None:
+        """``repro serve`` under ``-X dev`` with stdout piped and
+        ``PYTHONUNBUFFERED`` unset: the listen line arrives while the
+        server runs, it serves a GET, a 304 and a HEAD, and SIGINT
+        stops it with exit 0 and nothing on stderr."""
+        import http.client
+        import os
+        import re
+        import select
+        import signal
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        store = tmp_path / "store"
+        assert main(["measure", "--sites", "50", "--countries", "US",
+                     "--store", str(store)]) == 0
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env.pop("PYTHONUNBUFFERED", None)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, env.get("PYTHONPATH")))
+        )
+        server = subprocess.Popen(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+             "-m", "repro", "serve", "--store", str(store), "--port", "0"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        try:
+            ready, _, _ = select.select([server.stdout], [], [], 15)
+            assert ready, "no listen line within 15 s"
+            line = server.stdout.readline().decode()
+            port = int(re.search(r"http://127\.0\.0\.1:(\d+) ", line).group(1))
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+            conn.request("GET", "/campaigns")
+            first = conn.getresponse()
+            assert first.status == 200 and first.read()
+            etag = first.getheader("ETag")
+            conn.request("GET", "/campaigns", headers={"If-None-Match": etag})
+            revalidated = conn.getresponse()
+            assert (revalidated.status, revalidated.read()) == (304, b"")
+            conn.request("HEAD", "/campaigns")
+            head = conn.getresponse()
+            assert (head.status, head.read(), head.getheader("ETag")) == (
+                200, b"", etag,
+            )
+            conn.close()
+            server.send_signal(signal.SIGINT)
+            out, err = server.communicate(timeout=30)
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.communicate()
+        assert server.returncode == 0
+        assert err == b""
+        assert out == b""  # the listen line was the only output
