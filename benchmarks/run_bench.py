@@ -126,9 +126,10 @@ def bench_overhead(
                     obs=obs,
                     zone_cache=zone_cache,
                 )
-                rows.extend(pipeline.measure_country(cc))
+                country_rows = pipeline.measure_country(cc)
+                rows.extend(country_rows)
                 if obs is not None:
-                    obs.finalize(pipeline)
+                    obs.finalize(pipeline, country_rows)
                     observers.append(obs)
             seconds = time.perf_counter() - start
         finally:

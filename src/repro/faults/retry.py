@@ -99,9 +99,9 @@ class RetrySession:
         self.retries_spent = 0
         self.retries_left = policy.site_budget if policy is not None else 0
         #: Optional telemetry observer (duck-typed; see
-        #: :class:`repro.obs.instrument.Instrumentation`): notified of
-        #: every attempt (``retry_attempt``) and every backoff about to
-        #: be spent (``retry_backoff``).
+        #: :class:`repro.obs.instrument.Instrumentation`), notified of
+        #: each backoff about to be spent (``retry_backoff``).  Attempts
+        #: it reads from the rows' ``attempts``.
         self.observer = observer
 
     def run(
@@ -119,13 +119,10 @@ class RetrySession:
         is computed at the first retry: most operations never retry.
         """
         policy = self.policy
-        observer = self.observer
         delays: tuple[float, ...] = ()
         retry = 0
         while True:
             self.attempts += 1
-            if observer is not None:
-                observer.retry_attempt(key)
             try:
                 return operation()
             except ReproError as exc:
@@ -138,8 +135,8 @@ class RetrySession:
                     raise
                 if not delays:
                     delays = policy.backoff_schedule(key)
-                if observer is not None:
-                    observer.retry_backoff(key, delays[retry])
+                if self.observer is not None:
+                    self.observer.retry_backoff(key, delays[retry])
                 wait(delays[retry])
                 retry += 1
                 self.retries_left -= 1

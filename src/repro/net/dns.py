@@ -498,10 +498,9 @@ class Resolver:
         #: authority faults).  The hook signals a fault by raising.
         self.fault_hook: Callable[[str, float], None] | None = None
         #: Optional telemetry observer (duck-typed; see
-        #: :class:`repro.obs.instrument.Instrumentation`): notified of
-        #: every query (``dns_query``), cache hit (``dns_cache_hit``),
-        #: and uncached outcome (``dns_uncached``).  ``None`` keeps the
-        #: hot path branch-predictable and observation-free.
+        #: :class:`repro.obs.instrument.Instrumentation`), notified of
+        #: each cache miss that fails (``dns_uncached(name, error)``).
+        #: Queries and hits it reads from the counters above.
         self.observer: object | None = None
 
     @property
@@ -560,24 +559,17 @@ class Resolver:
         """
         name = hostname.lower().rstrip(".")
         self.queries += 1
-        observer = self.observer
-        if observer is not None:
-            observer.dns_query(name)
         cache_key = (name, self._continent, self._country)
         if self._cache_enabled:
             entry = self._cache.get(cache_key)
             if entry is not None and entry.expires_at > self._clock:
                 self.cache_hits += 1
-                if observer is not None:
-                    observer.dns_cache_hit(name)
                 return entry.cached
             # Negative caching (RFC 2308): a recent NXDOMAIN answers
             # repeated queries without bothering the authorities.
             negative_until = self._negative_cache.get(cache_key)
             if negative_until is not None and negative_until > self._clock:
                 self.negative_cache_hits += 1
-                if observer is not None:
-                    observer.dns_cache_hit(name, negative=True)
                 raise NXDomainError(
                     f"{name!r} does not exist (negative cache)"
                 )
@@ -586,22 +578,16 @@ class Resolver:
             if self.fault_hook is not None:
                 self.fault_hook(name, self._clock)
             result = self._resolve_uncached(name)
-        except NXDomainError as exc:
+        except ReproError as exc:
             # Injected faults are SERVFAIL/timeout shaped, never
             # NXDOMAIN, so negative-caching here cannot cache a fault.
-            if self._cache_enabled:
+            if self._cache_enabled and isinstance(exc, NXDomainError):
                 self._negative_cache[cache_key] = (
                     self._clock + self.NEGATIVE_TTL
                 )
-            if observer is not None:
-                observer.dns_uncached(name, exc)
+            if self.observer is not None:
+                self.observer.dns_uncached(name, exc)
             raise
-        except ReproError as exc:
-            if observer is not None:
-                observer.dns_uncached(name, exc)
-            raise
-        if observer is not None:
-            observer.dns_uncached(name, None)
         if self._cache_enabled:
             self._cache[cache_key] = _CacheEntry(
                 cached=replace(result, from_cache=True),

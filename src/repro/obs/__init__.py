@@ -11,13 +11,15 @@ stick every perf PR measures itself against):
   runs with the same seed (Prometheus text format also supported);
 * :mod:`~repro.obs.log` — a structured ``level event key=value``
   logger behind the CLI's ``-v/-q`` flags;
-* :mod:`~repro.obs.instrument` — the :class:`Instrumentation` facade
-  the pipeline threads through the resolver, retry, and breaker
-  hooks, with a no-op default (:data:`NULL_OBS`) that leaves the
-  uninstrumented hot path byte-identical to pre-observability output.
+* :mod:`~repro.obs.instrument` — the :class:`Instrumentation` of one
+  measurement unit: it folds the unit's counts into its registry at
+  the unit's end from the rows, the resolver and the pipeline's
+  nameserver-label cache, and hears per event only retry backoffs,
+  failed cache misses and breaker transitions.  An uninstrumented
+  pipeline observes nothing, and measures the same rows.
 """
 
-from .instrument import NULL_OBS, Instrumentation, NullInstrumentation
+from .instrument import Instrumentation
 from .log import StructuredLogger, configure, get_logger
 from .metrics import (
     DEFAULT_SECONDS_BUCKETS,
@@ -46,8 +48,6 @@ from .spans import (
 
 __all__ = [
     "Instrumentation",
-    "NullInstrumentation",
-    "NULL_OBS",
     "StructuredLogger",
     "configure",
     "get_logger",

@@ -1,30 +1,32 @@
-"""The instrumentation facade threaded through the pipeline.
+"""The instrumentation facade of one measurement unit.
 
 :class:`Instrumentation` bundles the three observability primitives —
 the span :class:`~repro.obs.spans.Tracer`, the deterministic
 :class:`~repro.obs.metrics.MetricsRegistry`, and the structured
-logger — behind one object implementing every observer protocol the
-measurement stack exposes:
+logger.  A unit's counts enter its registry once, at the unit's end:
+:meth:`Instrumentation.finalize` reads each count from the object that
+already keeps it —
 
-* the :class:`~repro.net.dns.Resolver`'s ``observer`` (queries, cache
-  hits, uncached outcomes),
-* the :class:`~repro.faults.retry.RetrySession`'s ``observer``
-  (attempts, backoff spend),
-* the :class:`~repro.faults.breaker.CircuitBreaker`'s
-  ``on_transition`` callback, and
-* the pipeline's own stage spans, nameserver-cache events, TLS
-  outcomes, and per-row accounting.
+* the rows (status, degraded, attempts, failures by taxonomy class,
+  TLS outcomes),
+* the :class:`~repro.net.dns.Resolver` (queries, cache hits,
+  uncached answers),
+* the pipeline's nameserver-label cache (cache events, labeling
+  failures, breaker skips), and
+* the finished spans (the stage histogram).
 
-:data:`NULL_OBS` is the no-op twin: every hook is an empty method and
-``span`` yields a shared null context, so an uninstrumented pipeline
-pays one attribute lookup and a no-op call per hook — no branches in
-the calling code, and byte-identical measurement output.
+Per event it hears only what no object counts, and logs each: the
+resolver's failed cache misses (``dns_uncached``), the retry
+session's backoffs (``retry_backoff``) and the
+:class:`~repro.faults.breaker.CircuitBreaker`'s transitions
+(``breaker_transition``).  An uninstrumented pipeline has no
+instrumentation at all: the resolver, session and breaker get no
+observer.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from contextlib import nullcontext
+from collections.abc import Callable, Iterable
 
 from ..faults.breaker import BreakerState
 from ..faults.taxonomy import failure_class, failure_class_of
@@ -32,15 +34,11 @@ from .log import StructuredLogger, get_logger
 from .metrics import MetricsRegistry
 from .spans import Tracer
 
-__all__ = [
-    "Instrumentation",
-    "NullInstrumentation",
-    "NULL_OBS",
-]
+__all__ = ["Instrumentation"]
 
 
 class Instrumentation:
-    """Live tracer + metrics + logger wired into the pipeline hooks."""
+    """A unit's tracer + metrics + logger, folded at the unit's end."""
 
     def __init__(
         self,
@@ -128,108 +126,29 @@ class Instrumentation:
             "logical-clock seconds per pipeline stage",
             ("stage",),
         )
-        # Hot-path fast paths.  Bound children validate their labels
-        # once here instead of on every event; the per-event firehose
-        # (queries, cache hits, attempts) batches into plain ints and
-        # flushes once per row.  Counter values are identical either
-        # way — n increments of 1.0 sum to exactly float(n).
-        self._queries_child = self.dns_queries.child()
-        self._hits_positive = self.dns_cache_hits.child(kind="positive")
-        self._hits_negative = self.dns_cache_hits.child(kind="negative")
-        self._uncached_ok = self.dns_uncached_total.child(outcome="ok")
-        self._attempts_child = self.attempts.child()
-        self._retries_child = self.retries.child()
-        self._backoff_child = self.backoff_seconds.child()
-        self._degraded_child = self.degraded_rows.child()
-        self._rows_ok = self.rows.child(status="ok")
-        self._rows_failed = self.rows.child(status="failed")
-        self._tls_ok = self.tls_handshakes.child(outcome="ok")
-        self._ns_event_children = {
-            event: self.ns_cache_events.child(event=event)
-            for event in ("hit", "negative_hit", "miss")
-        }
-        #: The span API is the tracer's bound method itself — no facade
-        #: frame on the per-stage hot path.  The stage histogram is
-        #: folded from the finished spans in :meth:`finalize` instead
-        #: of per-span callbacks.
-        self.span = self.tracer.span
-        self._stages_folded = False
-        self._pending_queries = 0
-        self._pending_hits_positive = 0
-        self._pending_hits_negative = 0
-        self._pending_uncached_ok = 0
-        self._pending_attempts = 0
-
-    # ------------------------------------------------------------------
-    # Spans
-    # ------------------------------------------------------------------
+        self._finalized = False
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
         """Point the tracer's logical clock at the resolver's."""
         self.tracer.clock = clock
 
-    def _fold_stage_seconds(self) -> None:
-        """Fold every finished span into the stage histogram (once).
-
-        One pass at the end of the run replaces a per-span callback
-        chain on the hot path; the resulting histogram is identical
-        because logical durations are deterministic.
-        """
-        if self._stages_folded:
-            return
-        self._stages_folded = True
-        observers: dict[str, Callable[[float], None]] = {}
-        for span in self.tracer._finished:
-            observe = observers.get(span.name)
-            if observe is None:
-                observe = observers[span.name] = self.stage_seconds.child(
-                    stage=span.name
-                ).observe
-            observe(span.logical_seconds)
-
     # ------------------------------------------------------------------
-    # Resolver observer protocol (see repro.net.dns.Resolver.observer)
+    # Per-event hooks: only what no object keeps a count of
     # ------------------------------------------------------------------
 
-    def dns_query(self, name: str) -> None:
-        """One query arrived at the resolver (batched per row)."""
-        self._pending_queries += 1
-
-    def dns_cache_hit(self, name: str, negative: bool = False) -> None:
-        """A query was answered from the cache (batched per row)."""
-        if negative:
-            self._pending_hits_negative += 1
-        else:
-            self._pending_hits_positive += 1
-
-    def dns_uncached(
-        self, name: str, error: BaseException | None
-    ) -> None:
-        """A cache miss contacted the authorities; record the outcome."""
-        if error is None:
-            self._pending_uncached_ok += 1
-            return
+    def dns_uncached(self, name: str, error: BaseException) -> None:
+        """A cache miss contacted the authorities and failed
+        (:attr:`repro.net.dns.Resolver.observer`)."""
         outcome = failure_class(error)
         self.dns_uncached_total.inc(outcome=outcome)
         self.log.debug("dns-miss-failed", name=name, outcome=outcome)
 
-    # ------------------------------------------------------------------
-    # Retry observer protocol (see repro.faults.retry.RetrySession)
-    # ------------------------------------------------------------------
-
-    def retry_attempt(self, key: str) -> None:
-        """One operation attempt started (batched per row)."""
-        self._pending_attempts += 1
-
     def retry_backoff(self, key: str, delay: float) -> None:
-        """A transient failure is about to be retried after a backoff."""
-        self._retries_child.inc()
-        self._backoff_child.inc(delay)
+        """A transient failure is about to be retried after a backoff
+        (:attr:`repro.faults.retry.RetrySession.observer`)."""
+        self.retries.inc()
+        self.backoff_seconds.inc(delay)
         self.log.debug("retry-backoff", key=key, delay=delay)
-
-    # ------------------------------------------------------------------
-    # Breaker hooks (see repro.faults.breaker.CircuitBreaker)
-    # ------------------------------------------------------------------
 
     def breaker_transition(
         self, key: str, old: BreakerState, new: BreakerState
@@ -245,87 +164,63 @@ class Instrumentation:
             to_state=new.value,
         )
 
-    def breaker_skip(self, ns: str) -> None:
-        """A nameserver was skipped because its circuit was open."""
-        self.breaker_skips.inc(ns=ns)
-
     # ------------------------------------------------------------------
-    # Pipeline hooks
+    # The fold at the unit's end
     # ------------------------------------------------------------------
 
-    def ns_cache_event(self, event: str) -> None:
-        """A nameserver-label cache hit / negative_hit / miss."""
-        child = self._ns_event_children.get(event)
-        if child is not None:
-            child.inc()
-        else:  # pragma: no cover - future event kinds
-            self.ns_cache_events.inc(event=event)
+    def finalize(self, pipeline, rows: Iterable) -> None:
+        """Fold a finished unit into the registry (once).
 
-    def ns_failure(self, ns: str, cls: str) -> None:
-        """Labeling one nameserver failed with a taxonomy class."""
-        self.ns_failures.inc(ns=ns, failure_class=cls)
-
-    def tls_outcome(self, outcome: str) -> None:
-        """A TLS handshake finished (``"ok"`` or a taxonomy class)."""
-        if outcome == "ok":
-            self._tls_ok.inc()
-        else:
-            self.tls_handshakes.inc(outcome=outcome)
-
-    def _flush_pending(self) -> None:
-        """Fold the batched per-event tallies into their counters."""
-        if self._pending_queries:
-            self._queries_child.inc(self._pending_queries)
-            self._pending_queries = 0
-        if self._pending_hits_positive:
-            self._hits_positive.inc(self._pending_hits_positive)
-            self._pending_hits_positive = 0
-        if self._pending_hits_negative:
-            self._hits_negative.inc(self._pending_hits_negative)
-            self._pending_hits_negative = 0
-        if self._pending_uncached_ok:
-            self._uncached_ok.inc(self._pending_uncached_ok)
-            self._pending_uncached_ok = 0
-        if self._pending_attempts:
-            self._attempts_child.inc(self._pending_attempts)
-            self._pending_attempts = 0
-
-    def row_measured(self, record) -> None:
-        """A row is final: fold its status and failures into metrics.
-
-        Uses exactly the row's :meth:`failures()
-        <repro.pipeline.records.WebsiteMeasurement.failures>` view and
-        the shared taxonomy classifier, so
-        ``repro_failures_total`` aggregates to the same numbers as
-        :meth:`MeasurementDataset.failure_taxonomy
+        ``pipeline`` is the unit's
+        :class:`~repro.pipeline.measure.MeasurementPipeline` and
+        ``rows`` every row it measured.  A family is incremented only
+        by a count above 0, so a unit exports the samples its events
+        produced and nothing else; an integer count equals the sum of
+        as many 1.0 steps exactly.  The failure fold uses each row's
+        :meth:`failures() <repro.pipeline.records.WebsiteMeasurement.failures>`
+        and the shared taxonomy classifier, so ``repro_failures_total``
+        aggregates to :meth:`MeasurementDataset.failure_taxonomy
         <repro.pipeline.records.MeasurementDataset.failure_taxonomy>`.
         """
-        self._flush_pending()
-        if record.ok:
-            self._rows_ok.inc()
-        else:
-            self._rows_failed.inc()
-            self.log.info(
-                "row-failed",
-                domain=record.domain,
-                country=record.country,
-                error=record.error or record.tls_error or "",
-            )
-        if record.degraded:
-            self._degraded_child.inc()
-        for layer, message in record.failures():
-            self.failures.inc(
-                failure_class=failure_class_of(message),
-                layer=layer,
-                country=record.country,
-            )
-
-    def finalize(self, pipeline) -> None:
-        """Snapshot end-of-run state (gauges) from a pipeline."""
-        self._flush_pending()
-        self._fold_stage_seconds()
-        r = self.registry
+        if self._finalized:
+            return
+        self._finalized = True
+        self._fold_rows(rows)
         resolver = pipeline.resolver
+        # A failed miss reached dns_uncached, and any exception other
+        # than a ReproError aborts the unit: every other miss answered.
+        answered = (
+            resolver.queries
+            - resolver.cache_hits
+            - resolver.negative_cache_hits
+            - self.dns_uncached_total.total()
+        )
+        if resolver.queries:
+            self.dns_queries.inc(resolver.queries)
+        for kind, count in (
+            ("positive", resolver.cache_hits),
+            ("negative", resolver.negative_cache_hits),
+        ):
+            if count:
+                self.dns_cache_hits.inc(count, kind=kind)
+        if answered:
+            self.dns_uncached_total.inc(answered, outcome="ok")
+        for event, count in pipeline.ns_cache_events.items():
+            if count:
+                self.ns_cache_events.inc(count, event=event)
+        for (ns, cls), count in pipeline.ns_failures.items():
+            self.ns_failures.inc(count, ns=ns, failure_class=cls)
+            if cls == "circuit-open":
+                self.breaker_skips.inc(count, ns=ns)
+        stages: dict[str, list[float]] = {}
+        for span in self.tracer._finished:
+            values = stages.get(span.name)
+            if values is None:
+                values = stages[span.name] = []
+            values.append(span.logical_seconds)
+        for stage, values in stages.items():
+            self.stage_seconds.observe_all(values, stage=stage)
+        r = self.registry
         r.gauge(
             "repro_resolver_queries",
             "resolver's own query count (cross-check of "
@@ -353,64 +248,47 @@ class Instrumentation:
             ):
                 injected.set(count, injector=injector)
 
-
-#: A reusable do-nothing context manager for :class:`NullInstrumentation`.
-_NULL_CONTEXT = nullcontext()
-
-
-class NullInstrumentation:
-    """The no-op twin of :class:`Instrumentation` (default wiring)."""
-
-    registry = None
-    tracer = None
-
-    def bind_clock(self, clock: Callable[[], float]) -> None:
-        """No-op."""
-
-    def span(self, name: str, **attrs: object):
-        """A shared null context (no allocation per call)."""
-        return _NULL_CONTEXT
-
-    def dns_query(self, name: str) -> None:
-        """No-op."""
-
-    def dns_cache_hit(self, name: str, negative: bool = False) -> None:
-        """No-op."""
-
-    def dns_uncached(
-        self, name: str, error: BaseException | None
-    ) -> None:
-        """No-op."""
-
-    def retry_attempt(self, key: str) -> None:
-        """No-op."""
-
-    def retry_backoff(self, key: str, delay: float) -> None:
-        """No-op."""
-
-    def breaker_transition(
-        self, key: str, old: BreakerState, new: BreakerState
-    ) -> None:
-        """No-op."""
-
-    def breaker_skip(self, ns: str) -> None:
-        """No-op."""
-
-    def ns_cache_event(self, event: str) -> None:
-        """No-op."""
-
-    def ns_failure(self, ns: str, cls: str) -> None:
-        """No-op."""
-
-    def tls_outcome(self, outcome: str) -> None:
-        """No-op."""
-
-    def row_measured(self, record) -> None:
-        """No-op."""
-
-    def finalize(self, pipeline) -> None:
-        """No-op."""
-
-
-#: Shared no-op instance used wherever no instrumentation was given.
-NULL_OBS = NullInstrumentation()
+    def _fold_rows(self, rows: Iterable) -> None:
+        """Row status, degraded rows, attempts, failures and TLS
+        outcomes; one ``row-failed`` log line per failed row."""
+        status = {"ok": 0, "failed": 0}
+        degraded = attempts = 0
+        tls: dict[str, int] = {}
+        failures: dict[tuple[str, str, str], int] = {}
+        for record in rows:
+            attempts += record.attempts
+            if record.ok:
+                status["ok"] += 1
+            else:
+                status["failed"] += 1
+                self.log.info(
+                    "row-failed",
+                    domain=record.domain,
+                    country=record.country,
+                    error=record.error or record.tls_error or "",
+                )
+            if record.degraded:
+                degraded += 1
+            if record.ip is not None:  # every such row reached the TLS step
+                outcome = (
+                    "ok"
+                    if record.tls_error is None
+                    else failure_class_of(record.tls_error)
+                )
+                tls[outcome] = tls.get(outcome, 0) + 1
+            for layer, message in record.failures():
+                key = (failure_class_of(message), layer, record.country)
+                failures[key] = failures.get(key, 0) + 1
+        for name, count in status.items():
+            if count:
+                self.rows.inc(count, status=name)
+        if degraded:
+            self.degraded_rows.inc(degraded)
+        if attempts:
+            self.attempts.inc(attempts)
+        for outcome, count in tls.items():
+            self.tls_handshakes.inc(count, outcome=outcome)
+        for (cls, layer, country), count in failures.items():
+            self.failures.inc(
+                count, failure_class=cls, layer=layer, country=country
+            )

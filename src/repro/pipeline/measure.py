@@ -24,13 +24,15 @@ reason instead of re-probing it for every delegating site.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 from ..errors import PipelineError, ReproError
 from ..faults.breaker import CircuitBreaker
 from ..faults.plan import FaultPlan
 from ..faults.retry import RetryPolicy, RetrySession
 from ..faults.taxonomy import failure_class, format_failure
 from ..net.dns import Resolver, ZoneCache
-from ..obs.instrument import NULL_OBS, Instrumentation
+from ..obs.instrument import Instrumentation
 from ..worldgen.world import World
 from .records import WebsiteMeasurement
 
@@ -48,6 +50,13 @@ _NO_DNS_INFRA: tuple[str | None, str | None, str | None, bool] = (
     None,
     False,
 )
+
+#: The span of an uninstrumented pipeline: one shared null context.
+_NULL_SPAN = nullcontext()
+
+
+def _null_span(name: str, **attrs: object) -> nullcontext:
+    return _NULL_SPAN
 
 
 class MeasurementPipeline:
@@ -85,17 +94,22 @@ class MeasurementPipeline:
             fault_plan.wrap_resolver(self.resolver)
         self.retry_policy = retry_policy
         self.breaker = CircuitBreaker(clock=lambda: self.resolver.clock)
-        #: Telemetry sink (spans + metrics + logs).  The default is a
-        #: shared no-op object, so the uninstrumented pipeline produces
-        #: byte-identical output at full speed.
-        self.obs = obs if obs is not None else NULL_OBS
-        #: The retry sessions' observer: the real instrumentation or
-        #: None (RetrySession skips its hooks entirely on None).
-        self._retry_observer = obs
+        #: Telemetry (spans + metrics + logs), or None.  Instrumentation
+        #: observes the resolver, the retry sessions and the breaker,
+        #: and folds this unit's counts at its end
+        #: (:meth:`Instrumentation.finalize`); without it nothing is
+        #: observed and the measurement is the same.
+        self.obs = obs
+        self._span = obs.tracer.span if obs is not None else _null_span
         if obs is not None:
             obs.bind_clock(self.resolver.clock_fn())
             self.resolver.observer = obs
             self.breaker.on_transition = obs.breaker_transition
+        #: Nameserver-label cache events (hit / negative_hit / miss)
+        #: and labeling failures by (nameserver, failure class): this
+        #: pipeline's own tallies, as the resolver keeps its queries.
+        self.ns_cache_events = {"hit": 0, "negative_hit": 0, "miss": 0}
+        self.ns_failures: dict[tuple[str, str], int] = {}
         #: ns_host -> (labels-or-None, negative-entry expiry, geo-stale
         #: flag).  Dead nameservers are cached too (negative entries
         #: carry their expiry on the logical clock) so one dead host is
@@ -144,34 +158,30 @@ class MeasurementPipeline:
         resolves and scans whatever host ultimately serves the page.
         When instrumented, the whole site is one ``site`` span with
         nested stage spans (http → resolve → label → ns-walk → tls →
-        enrich) and the finished row feeds the metrics registry.  Only
-        the site span carries attributes — its children inherit the
+        enrich); the row's counts reach the metrics when the unit's
+        rows are folded (:meth:`Instrumentation.finalize`).  Only the
+        site span carries attributes — its children inherit the
         domain/country through the parent link, and the empty-attrs
         form keeps six dict builds per site off the hot path.
         """
-        obs = self.obs
-        with obs.span("site", domain=domain, country=country):
-            record = self._measure_site(domain, country, rank)
-        obs.row_measured(record)
-        return record
+        with self._span("site", domain=domain, country=country):
+            return self._measure_site(domain, country, rank)
 
     def _measure_site(
         self, domain: str, country: str, rank: int
     ) -> WebsiteMeasurement:
-        obs = self.obs
-        session = RetrySession(
-            self.retry_policy, observer=self._retry_observer
-        )
+        span = self._span
+        session = RetrySession(self.retry_policy, observer=self.obs)
         plan = self.fault_plan
         try:
-            with obs.span("http"):
+            with span("http"):
                 serving_host = self.world.http.final_host(domain)
         except ReproError as exc:
             return self._failed_row(
                 domain, country, rank, "http", exc, session
             )
         try:
-            with obs.span("resolve"):
+            with span("resolve"):
                 resolution = session.run(
                     f"resolve:{serving_host}",
                     lambda: self.resolver.resolve(serving_host),
@@ -192,7 +202,7 @@ class MeasurementPipeline:
         ip = resolution.addresses[0]
 
         world = self.world
-        with obs.span("label"):
+        with span("label"):
             hosting_org = world.asdb.org_of_ip(ip)
             hosting_org_country = world.asdb.country_of_ip(ip)
             geo_stale = plan is not None and plan.geo_stale(ip)
@@ -206,7 +216,7 @@ class MeasurementPipeline:
                 ip_continent = world.geo.continent_of(ip)
             ip_anycast = world.anycast.is_anycast(ip)
 
-        with obs.span("ns-walk"):
+        with span("ns-walk"):
             dns_infra, dns_error, ns_geo_stale = self._dns_infrastructure(
                 resolution.authoritative_ns, session
             )
@@ -216,7 +226,7 @@ class MeasurementPipeline:
         tls_error: str | None = None
         tls_hook = plan.tls_hook if plan is not None else None
         try:
-            with obs.span("tls"):
+            with span("tls"):
                 certificate = session.run(
                     f"tls:{serving_host}",
                     lambda: world.tls_handshake(
@@ -228,16 +238,13 @@ class MeasurementPipeline:
                 tls_error = (
                     "tls: certificate: certificate does not cover hostname"
                 )
-                obs.tls_outcome("certificate")
             else:
                 owner = world.ccadb.owner_of(certificate.issuer_cn)
                 ca_owner, ca_country = owner.name, owner.country
-                obs.tls_outcome("ok")
         except ReproError as exc:
             tls_error = format_failure("tls", exc)
-            obs.tls_outcome(failure_class(exc))
 
-        with obs.span("enrich"):
+        with span("enrich"):
             try:
                 tld = world.psl.tld_of(domain)
             except ReproError:
@@ -307,33 +314,32 @@ class MeasurementPipeline:
         authoritative infrastructure is skipped with a recorded reason
         instead of re-probed for every delegating site.
         """
-        obs = self.obs
+        events = self.ns_cache_events
         failures: list[str] = []
         for ns_host in authoritative_ns:
             cached = self._ns_org_cache.get(ns_host)
             if cached is not None:
                 result, expires_at, cached_stale = cached
                 if result is not None:
-                    obs.ns_cache_event("hit")
+                    events["hit"] += 1
                     return result, None, cached_stale
                 if expires_at > self.resolver.clock:
-                    obs.ns_cache_event("negative_hit")
-                    obs.ns_failure(ns_host, "nxdomain")
+                    events["negative_hit"] += 1
                     failures.append(
-                        f"{ns_host}: nxdomain: recently failed "
-                        f"(negative cache)"
+                        self._ns_failed(
+                            ns_host, "nxdomain", "recently failed (negative cache)"
+                        )
                     )
                     continue
                 del self._ns_org_cache[ns_host]
             if not self.breaker.allow(ns_host):
-                obs.breaker_skip(ns_host)
-                obs.ns_failure(ns_host, "circuit-open")
                 failures.append(
-                    f"{ns_host}: circuit-open: "
-                    f"{self.breaker.reason(ns_host)}"
+                    self._ns_failed(
+                        ns_host, "circuit-open", self.breaker.reason(ns_host)
+                    )
                 )
                 continue
-            obs.ns_cache_event("miss")
+            events["miss"] += 1
             try:
                 ns_resolution = session.run(
                     f"ns:{ns_host}",
@@ -347,14 +353,14 @@ class MeasurementPipeline:
                     self.resolver.clock + Resolver.NEGATIVE_TTL,
                     False,
                 )
-                obs.ns_failure(ns_host, failure_class(exc))
                 failures.append(
-                    f"{ns_host}: {failure_class(exc)}: {exc}"
+                    self._ns_failed(ns_host, failure_class(exc), exc)
                 )
                 continue
             if not ns_resolution.addresses:
-                obs.ns_failure(ns_host, "empty-answer")
-                failures.append(f"{ns_host}: empty-answer: no addresses")
+                failures.append(
+                    self._ns_failed(ns_host, "empty-answer", "no addresses")
+                )
                 continue
             self.breaker.record_success(ns_host)
             ns_ip = ns_resolution.addresses[0]
@@ -380,6 +386,12 @@ class MeasurementPipeline:
         if failures:
             return _NO_DNS_INFRA, "dns: " + "; ".join(failures), False
         return _NO_DNS_INFRA, None, False
+
+    def _ns_failed(self, ns_host: str, cls: str, detail: object) -> str:
+        """Tally one labeling failure; returns its ``dns_error`` part."""
+        key = (ns_host, cls)
+        self.ns_failures[key] = self.ns_failures.get(key, 0) + 1
+        return f"{ns_host}: {cls}: {detail}"
 
     # ------------------------------------------------------------------
 

@@ -334,7 +334,7 @@ def measure_country_unit(
     metrics: dict | None = None
     spans: tuple[Span, ...] | None = None
     if obs is not None:
-        obs.finalize(pipeline)
+        obs.finalize(pipeline, rows)
         metrics = obs.registry.to_dict()
         spans = tuple(obs.tracer.finished())
     return CountryResult(

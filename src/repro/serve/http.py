@@ -7,7 +7,9 @@ where it is testable without a socket.
 
 * **Parse.**  The request line follows the stdlib's rules and answers
   (400 for bad syntax or version, 505 for HTTP/2 and above, the
-  two-word HTTP/0.9 ``GET``, ``//`` collapsed to ``/``).  Header lines
+  two-word HTTP/0.9 ``GET``, ``//`` collapsed to ``/``), except that a
+  refused version gets an HTTP/1.1 status line where the stdlib writes
+  the bare body, which an HTTP/1.x client cannot parse.  Header lines
   are read under http.client's limits: a line over 65,536 bytes, or
   more than 100 lines counting the blank one that ends the head,
   answers 431.  Headers land in a dict by lower-cased name, the first
@@ -25,8 +27,8 @@ where it is testable without a socket.
   closed.  ``repro_serve_connections_total{outcome}`` counts accepted,
   rejected and timed-out connections.
 
-The API layer is thread-safe by construction (lock-guarded caches,
-immutable store objects, atomic manifest reads).
+The API layer is thread-safe by construction (lock-guarded caches and
+metrics registry, immutable store objects, atomic manifest reads).
 """
 
 from __future__ import annotations
@@ -114,6 +116,9 @@ class ServeHandler(BaseHTTPRequestHandler):
         if not words:
             return False
         if len(words) >= 3:
+            # The client sent a version, so it reads a status line: a
+            # refused version is answered in HTTP/1.1.
+            self.request_version = self.protocol_version
             version = words[-1]
             match = _VERSION.fullmatch(version)
             if match is None:
@@ -226,8 +231,8 @@ class ServeHandler(BaseHTTPRequestHandler):
         self, status: int, reason: str | None, fields: str, body: bytes
     ) -> None:
         """Log the request and write its response once.  An HTTP/0.9
-        request (or a request line rejected before its version was
-        read) gets the body alone, as from the stdlib."""
+        request (two words, or the version ``HTTP/0.9``) gets the body
+        alone, as from the stdlib."""
         self.log_request(status)
         if self.request_version != "HTTP/0.9":
             if reason is None:
@@ -267,11 +272,9 @@ class ReproServer(ThreadingHTTPServer):
             "connections accepted, rejected at the cap, and timed out",
             labelnames=("outcome",),
         )
-        # Every series exists from the start, so a count never resizes
-        # the dict a /metrics render may be iterating.
+        # Every outcome is exported from the start, at 0.
         for outcome in ("accepted", "rejected", "timed_out"):
             self._connections.inc(0, outcome=outcome)
-        self._lock = threading.Lock()
         self._slots = threading.BoundedSemaphore(self.MAX_CONNECTIONS)
         #: ``(second, Date value)`` last rendered: one tuple, so a thread
         #: never reads one second's text with another second's number.
@@ -285,10 +288,8 @@ class ReproServer(ThreadingHTTPServer):
         )
 
     def count(self, outcome: str) -> None:
-        """Count one connection outcome.  Handler threads time out
-        concurrently, and a counter increment is a read-modify-write."""
-        with self._lock:
-            self._connections.inc(outcome=outcome)
+        """Count one connection outcome (under the registry's lock)."""
+        self._connections.inc(outcome=outcome)
 
     def render(self, status: int, reason: str, fields: str, body: bytes) -> bytes:
         """One whole response: status line, ``Server``, ``Date``,

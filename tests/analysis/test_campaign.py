@@ -33,9 +33,10 @@ def artifacts(tmp_path_factory):
         retry_policy=RetryPolicy(max_attempts=3, seed=0),
         obs=obs,
     )
+    rows = []
     for cc in ("TH", "US"):
-        pipeline.measure_country(cc)
-    obs.finalize(pipeline)
+        rows.extend(pipeline.measure_country(cc))
+    obs.finalize(pipeline, rows)
     out = tmp_path_factory.mktemp("campaign")
     metrics_path = out / "metrics.json"
     trace_path = out / "trace.jsonl"

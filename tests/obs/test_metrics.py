@@ -2,12 +2,31 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
-from repro.obs import MetricsRegistry
+from repro.faults import FAULT_PROFILES
+from repro.obs import MetricsRegistry, metric_total, render_metrics_json
 from repro.obs.metrics import METRICS_SCHEMA
+from repro.pipeline.parallel import CampaignSpec, run_campaign
+from repro.worldgen import WorldConfig
+
+#: sha256 of ``render_metrics_json`` of the instrumented campaign in
+#: :class:`TestPinnedMetricsBytes`, by (fault profile, retries).  The
+#: same under any ``PYTHONHASHSEED``.
+PINNED_METRICS_SHA256 = {
+    ("chaos", 3): "298a24a36292fcabfc4b7e9cd815549796b90298d23e1bb78d4cc5c942ae27b7",
+    ("flaky-dns", 3): "a4110053103394f579cfa7c785a67f2ce8da907b22ffc349f7c5bdeaec69c00e",
+    ("flaky-tls", 3): "447de3f90d11f3d6d5d56b3c12dd42ccf3196d3fae14e10f72cdc81c2f93b2d7",
+    ("none", 3): "ff632927762ae2ce5a0d5d4af16250c8dba7851d43906399eb9f4fed07716a3f",
+    ("ns-outage", 3): "f4539dd0fc75fe8d596537058e46b9fa5d68db4c9b85b1eabb5bc68ce16ba463",
+    ("slow-dns", 3): "f51a965364653fe7fa80c7c646d6340a9ee35b317cdc60919fbc2fd53e92a387",
+    ("stale-geo", 3): "621571c8b6497b46596bd644eff23fff7228060e582b227b5a5b2f833b3d85af",
+    ("none", 1): "ff632927762ae2ce5a0d5d4af16250c8dba7851d43906399eb9f4fed07716a3f",
+    ("chaos", 1): "313fb075e1d4e2dd07ee881e39a4574a1470bc195dffe403337401b3a1d0f235",
+}
 
 
 class TestCounter:
@@ -79,6 +98,21 @@ class TestHistogram:
             registry.histogram("b_seconds", buckets=(2.0, 1.0))
 
 
+    def test_observe_all_matches_repeated_observe(self) -> None:
+        r = MetricsRegistry()
+        h = r.histogram(
+            "t_seconds", buckets=(1.0, 5.0), labelnames=("stage",)
+        )
+        h.observe_all([0.5, 3.0, 7.0, 0.1], stage="tls")
+        h.observe(2.0, stage="tls")
+        buckets, total, count = h.snapshot(stage="tls")
+        assert buckets == {"1.0": 2, "5.0": 4, "+Inf": 5}
+        assert total == 0.5 + 3.0 + 7.0 + 0.1 + 2.0  # in observation order
+        assert count == 5
+        with pytest.raises(ValueError):
+            h.observe_all([1.0], wrong="tls")
+
+
 class TestRegistry:
     def test_idempotent_registration(self) -> None:
         r = MetricsRegistry()
@@ -148,38 +182,37 @@ class TestRegistry:
         assert "\\n" in text
 
 
-class TestBoundChildren:
-    def test_counter_child_matches_labeled_inc(self) -> None:
-        r = MetricsRegistry()
-        c = r.counter("events_total", labelnames=("kind",))
-        child = c.child(kind="hit")
-        child.inc()
-        child.inc(2.0)
-        c.inc(kind="hit")
-        assert c.value(kind="hit") == 4.0
-
-    def test_counter_child_rejects_negative(self) -> None:
-        c = MetricsRegistry().counter("n_total", labelnames=("k",))
-        with pytest.raises(ValueError):
-            c.child(k="x").inc(-1.0)
-
-    def test_counter_child_validates_labels_once(self) -> None:
-        c = MetricsRegistry().counter("n_total", labelnames=("k",))
-        with pytest.raises(ValueError):
-            c.child(wrong="x")
-
-    def test_histogram_child_matches_labeled_observe(self) -> None:
-        r = MetricsRegistry()
-        h = r.histogram(
-            "t_seconds", buckets=(1.0, 5.0), labelnames=("stage",)
+class TestPinnedMetricsBytes:
+    def test_campaign_metrics_match_pinned_bytes(self) -> None:
+        assert {p for p, retries in PINNED_METRICS_SHA256 if retries == 3} == (
+            set(FAULT_PROFILES)
         )
-        child = h.child(stage="tls")
-        child.observe(0.5)
-        h.observe(3.0, stage="tls")
-        buckets, total, count = h.snapshot(stage="tls")
-        assert buckets == {"1.0": 1, "5.0": 2, "+Inf": 2}
-        assert total == 3.5
-        assert count == 2
+        # 1,000 sites per country is the smallest size at which chaos
+        # opens a circuit, so the breaker families carry samples too.
+        config = WorldConfig(seed=7, sites_per_country=1000, countries=("TH", "US"))
+        world = None
+        digests = {}
+        payloads = {}
+        for profile, retries in PINNED_METRICS_SHA256:
+            spec = CampaignSpec(
+                config=config,
+                fault_profile=profile,
+                fault_seed=7,
+                retries=retries,
+                instrument=True,
+            )
+            if world is None:
+                world = spec.build_world()
+            payload = payloads[profile, retries] = run_campaign(
+                spec, world=world
+            ).metrics
+            digests[profile, retries] = hashlib.sha256(
+                render_metrics_json(payload).encode("utf-8")
+            ).hexdigest()
+        assert digests == PINNED_METRICS_SHA256
+        chaos = payloads["chaos", 3]
+        assert metric_total(chaos, "repro_breaker_skips_total") > 0
+        assert metric_total(chaos, "repro_retries_total") > 0
 
 
 class TestMergePayloads:

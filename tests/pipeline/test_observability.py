@@ -19,6 +19,7 @@ import pytest
 from repro.faults import RetryPolicy, fault_profile
 from repro.obs import Instrumentation
 from repro.pipeline import MeasurementDataset, MeasurementPipeline
+from repro.pipeline import measure as measure_module
 from repro.worldgen import World, WorldConfig
 
 COUNTRIES = ("TH", "US")
@@ -45,7 +46,7 @@ def _run(world: World, instrumented: bool):
     for cc in COUNTRIES:
         dataset.extend(pipeline.measure_country(cc))
     if obs is not None:
-        obs.finalize(pipeline)
+        obs.finalize(pipeline, dataset)
     return dataset, obs, pipeline
 
 
@@ -147,11 +148,24 @@ class TestNoopDefault:
         ]
 
     def test_uninstrumented_pipeline_has_no_observers(
-        self, world: World
+        self, world: World, monkeypatch
     ) -> None:
-        pipeline = MeasurementPipeline(world)
+        sessions = []
+        real_session = measure_module.RetrySession
+
+        def recording_session(*args, **kwargs):
+            sessions.append(real_session(*args, **kwargs))
+            return sessions[-1]
+
+        monkeypatch.setattr(measure_module, "RetrySession", recording_session)
+        pipeline = MeasurementPipeline(
+            world, retry_policy=RetryPolicy(max_attempts=3, seed=SEED)
+        )
+        pipeline.measure_country(COUNTRIES[0])
         assert pipeline.resolver.observer is None
         assert pipeline.breaker.on_transition is None
+        assert len(sessions) == SITES
+        assert all(session.observer is None for session in sessions)
 
 
 class TestSpans:

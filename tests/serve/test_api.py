@@ -584,6 +584,61 @@ class TestMetrics:
         )
         assert outcomes.value(kind="campaign", outcome="memory") == 1
 
+    def test_counts_hold_under_concurrent_requests_and_renders(
+        self, served_store, campaign_ids
+    ):
+        base, evolved = campaign_ids
+        registry = MetricsRegistry()
+        api = ServeApi(CampaignStore(served_store), registry)
+        # Each client walks the paths from its own offset, so the
+        # endpoint/status pairs are met first by one thread and again by
+        # the others while /metrics renders throughout.
+        paths = [
+            "/campaigns",
+            f"/campaigns/{base}",
+            "/no/such/endpoint",
+            f"/campaigns/{evolved}/layers",
+            "/campaigns/ffffffffffff",
+            "/series",
+            f"/campaigns/{base}/countries/ZZ",
+        ]
+        clients, rounds = 8, 4000
+        stop = threading.Event()
+        render_statuses: list[int] = []
+
+        def render():
+            while not stop.is_set():
+                render_statuses.append(api.handle("/metrics").status)
+
+        def client(offset: int):
+            for i in range(rounds):
+                api.handle(paths[(offset + i) % len(paths)])
+
+        renderer = threading.Thread(target=render)
+        threads = [
+            threading.Thread(target=client, args=(offset,))
+            for offset in range(clients)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            renderer.start()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            stop.set()
+            renderer.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not renderer.is_alive()
+        assert not any(thread.is_alive() for thread in threads)
+        assert render_statuses and set(render_statuses) == {200}
+        made = clients * rounds + len(render_statuses)
+        assert registry.get("repro_serve_requests_total").total() == made
+        latency = registry.get("repro_serve_request_seconds")
+        assert sum(count for _, _, _, count in latency.samples()) == made
+
 
 class TestEncoding:
     def test_encode_body_is_canonical(self):

@@ -302,9 +302,16 @@ URI_TOO_LONG = (
     b'{"error":{"code":"http_error","message":"request failed",'
     b'"status":414}}\n',
 )
-#: A version the stdlib refuses is answered before the version is
-#: known, HTTP/0.9 style: the body alone.
-HTTP2 = b'{"error":{"code":"http_error","message":"Invalid HTTP version (2.0)","status":505}}\n'
+#: A version the stdlib refuses is answered with an HTTP/1.1 status
+#: line (the stdlib writes the body alone, which http.client cannot
+#: read).
+HTTP2 = (
+    b"HTTP/1.1 505 Invalid HTTP version (2.0)\r\nServer: repro-serve/1\r\n"
+    b"Date: {date}\r\nContent-Type: application/json\r\nContent-Length: 84\r\n"
+    b"Connection: close\r\n\r\n",
+    b'{"error":{"code":"http_error","message":"Invalid HTTP version (2.0)",'
+    b'"status":505}}\n',
+)
 
 
 class TestWireBytes:
@@ -340,10 +347,38 @@ class TestWireBytes:
         post = b"POST /campaigns HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n"
         assert exchange(address, post) == POST
         assert exchange(address, get_request("/" + "a" * 70_000)) == URI_TOO_LONG
-        with socket.create_connection(address, timeout=10) as raw:
-            raw.sendall(b"GET / HTTP/2.0\r\n\r\n")
-            with raw.makefile("rb") as stream:
-                assert stream.read() == HTTP2
+        assert exchange(address, b"GET / HTTP/2.0\r\n\r\n") == HTTP2
+
+    @pytest.mark.parametrize(
+        "line, status",
+        [
+            (b"GET / HTTP/2.0", 505),
+            (b"GET / HTTP/a.b", 400),
+            (b"GET / extra word", 400),
+        ],
+    )
+    def test_a_refused_version_is_readable_by_http_client(
+        self, server, line, status
+    ):
+        with socket.create_connection(server.server_address[:2], timeout=10) as raw:
+            raw.sendall(line + b"\r\nHost: x\r\n\r\n")
+            response = http.client.HTTPResponse(raw, method="GET")
+            try:
+                response.begin()  # raises BadStatusLine on a bare body
+                body = json.loads(response.read())
+            finally:
+                response.close()
+        assert response.status == status
+        assert response.getheader("Connection") == "close"
+        assert body["error"]["status"] == status
+
+    def test_an_http_0_9_request_still_gets_the_bare_body(self, server):
+        address = server.server_address[:2]
+        for line in (b"GET /no/such/path", b"GET /no/such/path HTTP/0.9"):
+            with socket.create_connection(address, timeout=10) as raw:
+                raw.sendall(line + b"\r\n\r\n")
+                with raw.makefile("rb") as stream:
+                    assert stream.read() == NOT_FOUND[1], line
 
     def test_pipelined_requests_answer_in_order(
         self, server, served_store, campaign_ids

@@ -64,6 +64,14 @@ class TestScoreCommand:
         assert "0.0000" in out
         assert "competitive" in out
 
+    def test_six_singletons_score_exactly_zero(
+        self, capsys: pytest.CaptureFixture
+    ) -> None:
+        # Six shares of 1/6 square and sum to just below 1/6.
+        assert main(["score"] + ["1"] * 6) == 0
+        out = capsys.readouterr().out
+        assert "Centralization Score:  0.0000 (competitive)" in out
+
 
 class TestStudyCommands:
     def test_study_summary(self, capsys: pytest.CaptureFixture) -> None:
