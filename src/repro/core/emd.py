@@ -35,6 +35,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from ..errors import EmptyDistributionError, InvalidDistributionError
+from .centralization import centralization_score
 from .distributions import ProviderDistribution
 
 __all__ = [
@@ -192,25 +193,25 @@ def emd_to_decentralized(
         A :class:`ProviderDistribution` or raw count sequence.
     method:
         ``"closed-form"`` (default) evaluates ``sum (a_i/C)^2 - 1/C``
-        directly.  ``"lp"`` materializes the full reference and solves
-        the transportation LP — exponentially bigger, intended only for
+        directly, as :func:`~repro.core.centralization_score` does.
+        ``"lp"`` materializes the full reference and solves the
+        transportation LP — exponentially bigger, intended only for
         validating the closed form at small ``C``.
     """
+    if method == "closed-form":
+        return centralization_score(distribution)
+    if method != "lp":
+        raise ValueError(
+            f"unknown method {method!r}; use 'closed-form' or 'lp'"
+        )
     if isinstance(distribution, ProviderDistribution):
         counts = distribution.counts()
     else:
         counts = _validate_masses(np.asarray(distribution), "distribution")
     c = counts.sum()
-
-    if method == "closed-form":
-        shares = counts / c
-        return float(np.dot(shares, shares) - 1.0 / c)
-    if method == "lp":
-        reference = decentralized_reference(c)
-        distance = paper_ground_distance_matrix(counts, c)
-        result = emd(counts, reference, distance)
-        return result.normalized
-    raise ValueError(f"unknown method {method!r}; use 'closed-form' or 'lp'")
+    reference = decentralized_reference(c)
+    distance = paper_ground_distance_matrix(counts, c)
+    return emd(counts, reference, distance).normalized
 
 
 def rank_share_distance_matrix(n: int, m: int) -> np.ndarray:

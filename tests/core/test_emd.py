@@ -80,7 +80,10 @@ class TestPaperInstantiation:
         assert emd_to_decentralized([6, 3, 1]) == pytest.approx(expected)
 
     def test_decentralized_is_zero(self) -> None:
-        assert emd_to_decentralized([1] * 50) == pytest.approx(0.0)
+        # Exactly 0, as centralization_score: six shares of 1/6 square
+        # and sum to just below 1/6.
+        for c in (6, 50):
+            assert emd_to_decentralized([1] * c) == 0.0
 
     def test_monopoly_reaches_upper_bound(self) -> None:
         c = 25
